@@ -285,6 +285,14 @@ def main(argv=None) -> int:
         return 3
     except BudgetError as exc:
         print("error: budget exhausted: %s" % exc, file=sys.stderr)
+        detail = exc.detail or {}
+        if hasattr(args, "depth") and "lcm_degree" in detail:
+            depth = ("truncation depth %d" % args.depth if args.depth
+                     else "the instance's default truncation depth")
+            print("hint: at %s an S-pair reached lcm degree %d, above "
+                  "the degree cap %d; lower --depth or raise the cap with "
+                  "FORMALPATCH_BUDGET=maxdeg:maxpairs"
+                  % (depth, detail["lcm_degree"], detail["maxdeg"]), file=sys.stderr)
         return 4
 
     text = rep.json() if getattr(args, "json", False) else rep.text()

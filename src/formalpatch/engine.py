@@ -9,6 +9,12 @@ there is no separate quotient arithmetic.
 
 Everything below the public wrappers works on the kernel's flat vec
 representation; see formalpatch._kernel_py for the format.
+
+Every Groebner run goes through the basis cache of its PolyContext
+(shared by the contexts derived with prepend_vars / drop_prefix), so a
+basis is computed once per ring family.  Entries record the budget
+their run used; a hit whose use exceeds the caller's budget is rerun,
+so it raises exactly the BudgetError an uncached run would.
 """
 
 from __future__ import annotations
@@ -150,15 +156,33 @@ def _vec_sugar(v):
     return max((kernel.mono_deg(m) for (m, _), _ in v), default=0)
 
 
+def _monic_gens(gens, order, p):
+    """Canonical, monic forms of the nonzero `gens`, in input order."""
+    out = []
+    for g in gens:
+        v = kernel.canon_vec(g, order, p)
+        if v:
+            out.append(kernel.monic_vec(v, p))
+    return tuple(out)
+
+
+def _fits(use, budget):
+    return use[0] <= budget.maxdeg and use[1] <= budget.maxpairs
+
+
 def _buchberger(gens, order, p, rank1, budget):
     """Sugar-strategy Buchberger with the product (ideal case only) and
-    chain criteria; returns the unique reduced basis, leads descending,
-    monic."""
+    chain criteria over canonical monic nonzero `gens` (_monic_gens).
+
+    Returns (basis, use): the unique reduced basis, leads descending,
+    monic; and (largest S-pair lcm degree, pairs popped), the least
+    budget under which this run completes."""
     G = []
     sugar = []
     heap = []
     done = set()
     counter = 0
+    topdeg = 0
 
     def push_pairs(t):
         (mt, pt), _ = G[t][0]
@@ -174,11 +198,9 @@ def _buchberger(gens, order, p, rank1, budget):
             heapq.heappush(heap, (s, kernel.term_sortkey((l, pt), order), i, t))
 
     for g in gens:
-        v = kernel.canon_vec(g, order, p)
-        if v:
-            G.append(kernel.monic_vec(v, p))
-            sugar.append(_vec_sugar(v))
-            push_pairs(len(G) - 1)
+        G.append(g)
+        sugar.append(_vec_sugar(g))
+        push_pairs(len(G) - 1)
 
     while heap:
         s, lk, i, j = heapq.heappop(heap)
@@ -190,8 +212,9 @@ def _buchberger(gens, order, p, rank1, budget):
         if ldeg > budget.maxdeg:
             raise BudgetError(
                 "degree budget exceeded (S-pair lcm degree %d > %d)" % (ldeg, budget.maxdeg),
-                detail={"pair": (i, j), "lcm_degree": ldeg},
+                detail={"pair": (i, j), "lcm_degree": ldeg, "maxdeg": budget.maxdeg},
             )
+        topdeg = max(topdeg, ldeg)
         counter += 1
         if counter > budget.maxpairs:
             raise BudgetError(
@@ -244,7 +267,17 @@ def _buchberger(gens, order, p, rank1, budget):
         rest = reduced[:idx] + reduced[idx + 1 :]
         reduced[idx] = kernel.monic_vec(kernel.nf_vec(reduced[idx], rest, order, p), p)
     reduced.sort(key=order_key, reverse=True)
-    return tuple(reduced)
+    return tuple(reduced), (topdeg, counter)
+
+
+def _cached_basis(context, gens, order, rank1, budget):
+    """(basis, use) of `gens` through the context's basis cache; the key
+    is the ordered canonical input, so a rerun replays the same pairs."""
+    key = (_monic_gens(gens, order, context.p), order, rank1)
+    hit = context._cache.get(key)
+    if hit is None or not _fits(hit[1], budget):
+        hit = context._cache[key] = _buchberger(key[0], order, context.p, rank1, budget)
+    return hit
 
 
 class SubmoduleBasis:
@@ -282,8 +315,9 @@ class SubmoduleBasis:
     def _ring_rows(self):
         if self._ringrow_basis is None:
             rows = _relation_rows(self.ring_rels, self.rank)
-            gb = _buchberger(rows, self.order, self.context.p, self.rank == 1, default_budget())
-            self._ringrow_basis = gb
+            self._ringrow_basis = _cached_basis(
+                self.context, rows, self.order, self.rank == 1, default_budget()
+            )[0]
         return self._ringrow_basis
 
     def visible_gens(self):
@@ -330,7 +364,7 @@ def submodule(
     order = order if order is not None else TOP_GREVLEX.descriptor(context)
     budget = budget or default_budget()
     rows = list(vecs) + _relation_rows(ring_rels, rank)
-    gb = _buchberger(rows, order, context.p, rank == 1, budget)
+    gb, _ = _cached_basis(context, rows, order, rank == 1, budget)
     return SubmoduleBasis(context, rank, order, ring_rels, gb)
 
 
@@ -383,28 +417,38 @@ def syzygy_project(
     The workhorse behind syzygies, colons, module quotients and the
     fiber-product kernel: syzygies of main+aux+relation rows are
     computed with an extended position-elimination order and projected
-    onto the main coordinates.
+    onto the main coordinates.  Only the projected basis is cached, with
+    the larger use of its two runs; the extended basis is not kept.
     """
     order = order if order is not None else TOP_GREVLEX.descriptor(context)
     budget = budget or default_budget()
     p = context.p
-    full = list(main) + list(aux) + _relation_rows(ring_rels, rank)
-    k = len(full)
+    main = tuple(kernel.canon_vec(v, order, p) for v in main)
+    aux = tuple(kernel.canon_vec(v, order, p) for v in aux)
+    ring_rels = tuple(ring_rels)
     nmain = len(main)
-    one = kernel.mono_one(context.nvars)
-    ext = []
-    for i, v in enumerate(full):
-        ext.append(tuple(v) + (((one, rank + i), context.field.one),))
-    posgroup = (0,) * rank + (1,) * k
-    ext_order = (order[0], order[1], posgroup)
-    gb = _buchberger(ext, ext_order, p, False, budget)
-    projected = []
-    for g in gb:
-        if any(pos < rank for (_, pos), _ in g):
-            continue
-        proj = tuple(((m, pos - rank), c) for (m, pos), c in g if pos - rank < nmain)
-        projected.append(proj)
-    return submodule(projected, context, nmain, ring_rels, order, budget)
+    key = ("syzygy", main, aux, ring_rels, rank, order)
+    hit = context._cache.get(key)
+    if hit is None or not _fits(hit[1], budget):
+        full = list(main) + list(aux) + _relation_rows(ring_rels, rank)
+        k = len(full)
+        one = kernel.mono_one(context.nvars)
+        ext = []
+        for i, v in enumerate(full):
+            ext.append(v + (((one, rank + i), context.field.one),))
+        posgroup = (0,) * rank + (1,) * k
+        ext_order = (order[0], order[1], posgroup)
+        gb, ext_use = _buchberger(_monic_gens(ext, ext_order, p), ext_order, p, False, budget)
+        projected = []
+        for g in gb:
+            if any(pos < rank for (_, pos), _ in g):
+                continue
+            proj = tuple(((m, pos - rank), c) for (m, pos), c in g if pos - rank < nmain)
+            projected.append(proj)
+        projected += _relation_rows(ring_rels, nmain)
+        gens, use = _cached_basis(context, projected, order, nmain == 1, budget)
+        hit = context._cache[key] = gens, tuple(map(max, ext_use, use))
+    return SubmoduleBasis(context, nmain, order, ring_rels, hit[0])
 
 
 def syzygy_basis(basis: SubmoduleBasis, budget: Optional[Budget] = None) -> SubmoduleBasis:
@@ -435,7 +479,7 @@ def submodule_intersect(b1: SubmoduleBasis, b2: SubmoduleBasis, budget: Optional
         gens.append(kernel.mul_vec_poly(_lift_prepend(v, 1), one_minus_u, ext_order, p))
     for row in _relation_rows(b1.ring_rels, b1.rank):
         gens.append(_lift_prepend(row, 1))
-    gb = _buchberger(gens, ext_order, p, b1.rank == 1, budget)
+    gb, _ = _cached_basis(ctx, gens, ext_order, b1.rank == 1, budget)
     kept = [_strip_prefix(g, 1) for g in gb if not _uses_prefix(g, 1)]
     return submodule(kept, ctx, b1.rank, b1.ring_rels, b1.order, budget)
 
@@ -462,8 +506,6 @@ def colon_module(basis: SubmoduleBasis, other: SubmoduleBasis, budget: Optional[
     for g in other.gens:
         c = colon_element(basis, g, budget)
         out = c if out is None else submodule_intersect(out, c, budget)
-        if out.is_everything():
-            continue
     if out is None:
         raise ValueError("colon by the zero module")
     return out
@@ -516,7 +558,7 @@ def saturate_rabinowitsch(basis: SubmoduleBasis, f: Polynomial, budget: Optional
     gens = [_lift_prepend(v, 1) for v in basis.gens]
     for j in range(basis.rank):
         gens.append(tuple(((m, j), c) for (m, _), c in uf_minus_1))
-    gb = _buchberger(gens, ext_order, p, basis.rank == 1, budget)
+    gb, _ = _cached_basis(ctx, gens, ext_order, basis.rank == 1, budget)
     kept = [_strip_prefix(g, 1) for g in gb if not _uses_prefix(g, 1)]
     return submodule(kept, ctx, basis.rank, basis.ring_rels, basis.order, budget)
 
@@ -535,7 +577,7 @@ def eliminate(basis: SubmoduleBasis, var_names, budget: Optional[Budget] = None)
     )
     blocks = (block,) + tuple(b for b in rest_blocks if b)
     elim_order = (blocks, 0, ())
-    gb = _buchberger(basis.gens, elim_order, ctx.p, basis.rank == 1, budget)
+    gb, _ = _cached_basis(ctx, basis.gens, elim_order, basis.rank == 1, budget)
     kept = []
     for g in gb:
         if all(all(m[i] == 0 for i in block) for (m, _), _ in g):

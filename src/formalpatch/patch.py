@@ -159,6 +159,7 @@ class PatchProblem:
         self.alpha1 = alpha1  # g1 rows, each a vec of rank g0
         self.alpha2 = alpha2
         self.expected_rank = expected_rank
+        self._rings = {}
         self._satrel = {}
         self._zero_pairs = {}
         self.records = []
@@ -169,7 +170,11 @@ class PatchProblem:
         return self.config.base
 
     def ring_at(self, level: Optional[int]):
-        return self.base if level is None else truncate(self.base, level)
+        if level is None:
+            return self.base
+        if level not in self._rings:
+            self._rings[level] = truncate(self.base, level)
+        return self._rings[level]
 
     # -- saturated relation modules -----------------------------------
     def satrel(self, e: int, level: Optional[int]) -> SubmoduleBasis:

@@ -23,7 +23,10 @@ _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9']*")
 
 
 class PolyContext:
-    """Variable list + field + default order data; immutable."""
+    """Variable list + field + default order data; immutable.
+
+    `_cache` holds the engine's Groebner bases; prepend_vars and
+    drop_prefix hand it on, so it lives as long as one ring family."""
 
     __slots__ = ("field", "vars", "tvar", "ninv", "_index", "order0", "_cache")
 
@@ -85,13 +88,18 @@ class PolyContext:
         for n in names:
             if n in self._index:
                 raise ValueError("variable %r already present" % (n,))
-        return PolyContext(self.field, names + self.vars, self.tvar, self.ninv + len(names))
+        return self._derive(names + self.vars, self.ninv + len(names))
 
     def drop_prefix(self, k: int) -> "PolyContext":
         """Context with the first k (inverse) variables removed."""
         if k > self.ninv:
             raise ValueError("can only drop adjoined inverse variables")
-        return PolyContext(self.field, self.vars[k:], self.tvar, self.ninv - k)
+        return self._derive(self.vars[k:], self.ninv - k)
+
+    def _derive(self, vars, ninv) -> "PolyContext":
+        ctx = PolyContext(self.field, vars, self.tvar, ninv)
+        object.__setattr__(ctx, "_cache", self._cache)
+        return ctx
 
     def fresh_name(self, stem: str) -> str:
         name = stem

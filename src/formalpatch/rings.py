@@ -175,9 +175,6 @@ class LocalizedRing:
     def ideal(self, polys) -> SubmoduleBasis:
         return _ideal(polys, self.context, self.rels_vecs)
 
-    def lift_poly(self, q: Polynomial) -> Polynomial:
-        return q.rename_into(self.context)
-
     def lift_vec(self, vec):
         k = self.context.ninv - getattr(self.under.context, "ninv", 0)
         pad = (0,) * k
@@ -356,14 +353,10 @@ def regenerate_generators(J_i: SubmoduleBasis, pd: PrimeData, ringlike) -> list:
                 "regeneration failed: %s still lies in prime(s) %s"
                 % (canonical_text(r), ", ".join(str(b + 1) for b in blocked))
             )
-    regenerated = _ideal([g for g in out], J_i.context, tuple(_ring_rows_of(ringlike)))
+    regenerated = _ideal([g for g in out], J_i.context, tuple(ringlike.rels_vecs))
     if regenerated.gens != J_i.gens:
         raise RingError("regeneration changed the ideal (internal error)")
     return out
-
-
-def _ring_rows_of(ringlike):
-    return ringlike.rels_vecs
 
 
 def symbolic_power(pd: PrimeData, j: int, n: int, separator: Optional[Polynomial] = None):

@@ -61,9 +61,6 @@ class PresModule:
         """Is the element zero in the module?"""
         return self.rel.contains(vec)
 
-    def is_zero_module(self) -> bool:
-        return self.rel.is_everything()
-
     def span(self, vecs) -> SubmoduleBasis:
         """Basis (in ambient coordinates, relations included) of the
         submodule generated by the given elements."""
@@ -77,9 +74,6 @@ class PresModule:
     def unit_vec(self, k: int):
         one = kernel.mono_one(self.context.nvars)
         return (((one, k), self.context.field.one),)
-
-    def generator_vecs(self):
-        return [self.unit_vec(k) for k in range(self.g)]
 
     def multiply(self, f: Polynomial, vec):
         fv = tuple(((m, 0), c) for (m, _), c in f.rename_into(self.context).terms)

@@ -52,6 +52,23 @@ class TestExitCodes:
         assert code == 3
         assert str(p) in err and "primes" in err
 
+    def test_degree_budget_exit_hints_at_depth_and_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("FORMALPATCH_BUDGET", "3:200000")
+        code, out, err = run(capsys, "solve", "a2-ideal-xy", "--depth", "2")
+        assert code == 4
+        assert out == ""
+        assert "S-pair lcm degree 4 > 3" in err
+        hint = err.splitlines()[-1]
+        assert hint.startswith("hint: at truncation depth 2 ")
+        assert "degree cap 3" in hint and "FORMALPATCH_BUDGET=maxdeg:maxpairs" in hint
+
+    def test_pair_budget_exit_has_no_degree_hint(self, capsys, monkeypatch):
+        monkeypatch.setenv("FORMALPATCH_BUDGET", "40:5")
+        code, out, err = run(capsys, "solve", "a2-ideal-xy", "--depth", "2")
+        assert code == 4
+        assert out == ""
+        assert "S-pair budget exceeded" in err and "hint" not in err
+
     def test_unstabilized_schedule_is_budget_exit(self, capsys):
         code, out, _ = run(
             capsys, "solve", bundled_path("a1-partial-fractions"), "--dmax", "0"

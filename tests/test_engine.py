@@ -3,7 +3,8 @@ structural properties (determinism, order invariance, budgets)."""
 
 import pytest
 
-from formalpatch import kernel
+from formalpatch import engine, kernel
+from formalpatch.cli import main
 from formalpatch.engine import (
     Budget,
     BudgetError,
@@ -24,6 +25,7 @@ from formalpatch.engine import (
     vec_text,
 )
 from formalpatch.fields import QQ, PrimeField
+from formalpatch.instance import bundled_path, load_instance
 from formalpatch.poly import LEX, MonomialOrder, PolyContext, parse_poly
 
 try:
@@ -212,6 +214,55 @@ def test_pair_budget_raises():
             budget=b,
         )
     assert "S-pair budget" in str(e.value)
+
+
+def _budget_failure(build, ctx, budget):
+    with pytest.raises(BudgetError) as e:
+        build(ctx, budget)
+    return str(e.value), e.value.detail
+
+
+def _replay_basis(ctx, budget=None):
+    gens = [vec_of_polys([parse_poly(s, ctx)]) for s in ("x^3 - y", "x*y^2 - 1")]
+    return submodule(gens, ctx, 1, budget=budget)
+
+
+def _replay_syzygies(ctx, budget=None):
+    return syzygy_basis(_replay_basis(ctx), budget)
+
+
+@pytest.mark.parametrize("build", [_replay_basis, _replay_syzygies])
+@pytest.mark.parametrize("budget", [Budget(maxdeg=2), Budget(maxpairs=1)])
+def test_cached_basis_replays_budget_error(build, budget):
+    ctx = PolyContext(QQ, ["x", "y"])
+    first = build(ctx)  # cached under the default budget
+    replayed = _budget_failure(build, ctx, budget)
+    assert replayed == _budget_failure(build, PolyContext(QQ, ["x", "y"]), budget)
+    assert build(ctx).gens == first.gens
+
+
+def test_basis_cache_is_scoped_to_one_ring_family():
+    a = load_instance(bundled_path("a2-ideal-xy")).ring.context
+    b = load_instance(bundled_path("a2-ideal-xy")).ring.context
+    assert a._cache and b._cache
+    assert a._cache is not b._cache
+    ext = a.prepend_vars(["w"])
+    assert ext._cache is a._cache
+    assert ext.drop_prefix(1)._cache is a._cache
+
+
+def test_groebner_run_count_gate(monkeypatch, capsys):
+    runs = []
+    real = engine._buchberger
+
+    def counted(*args):
+        runs.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "_buchberger", counted)
+    assert main(["solve", "a2-ideal-xy", "--depth", "4"]) == 0
+    capsys.readouterr()
+    assert 0 < len(runs) <= 180
 
 
 def test_budget_env_override(monkeypatch):

@@ -1,6 +1,7 @@
 """The compiled kernel must be bit-for-bit interchangeable with the
 pure-Python one: same tuples, same coefficients, same exceptions."""
 
+import os
 import random
 import subprocess
 import sys
@@ -143,7 +144,7 @@ def test_full_solve_identical_across_backends():
     pure = subprocess.run(
         [sys.executable, "-c", SCRIPT],
         capture_output=True, text=True,
-        env={"FORMALPATCH_PURE": "1", "PATH": "/usr/bin:/bin"},
+        env={**os.environ, "FORMALPATCH_PURE": "1"},
     )
     assert compiled.returncode == 0, compiled.stderr
     assert pure.returncode == 0, pure.stderr
