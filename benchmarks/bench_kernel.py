@@ -5,11 +5,15 @@ representative workloads.  Run from the repository root:
 
 Each workload runs in a fresh subprocess so the backend choice is made
 cleanly at import time (FORMALPATCH_PURE=1 forces the fallback); timing
-happens inside the child, so interpreter startup is excluded."""
+happens inside the child, so interpreter startup is excluded.  The
+children import the package from this checkout's `src`, which goes at
+the front of their PYTHONPATH, so no install is needed."""
 
 import os
 import subprocess
 import sys
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 WORKLOADS = {
     "groebner-ideals": """
@@ -74,6 +78,7 @@ print("RESULT", kernel.BACKEND, elapsed)
 
 def run_once(code, pure):
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if pure:
         env["FORMALPATCH_PURE"] = "1"
     else:

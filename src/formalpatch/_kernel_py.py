@@ -20,11 +20,23 @@ order      (blocks, policy, posgroup):
                      lower positions are greater either way.
            posgroup  tuple mapping position -> group, compared before
                      everything (lower group greater); () means trivial.
+
+Reduction
+---------
+nf_vec keeps its working vector as a sparse accumulator (a dict term ->
+coeff) beside a heap of (key, term) entries whose least key is the
+greatest term; each step folds one multiple of a basis element into the
+dict, and entries for cancelled or already popped terms are skipped when
+they surface (lazy deletion).  Its heap key is the negation of
+term_sortkey.  term_sortkey itself stays an ascending key: the S-pair
+heap in engine._buchberger breaks ties with it, so the pairs a run pops,
+which a cached basis replays against a Budget, depend on it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 EXP_LIMIT = 1 << 60
 
@@ -216,29 +228,98 @@ def monic_vec(u, p):
     return tuple((t, c * inv) for t, c in u)
 
 
+def _heap_key(order, nvars):
+    """Key function with key(a) < key(b) exactly when term a is greater
+    under `order`: the negation of term_sortkey, so that a min-heap pops
+    the greatest term first.  A single block covering variables
+    0..nvars-1 in index order, term over position, with no position
+    grouping (plain grevlex) takes a shorter key of the same ordering."""
+    blocks, policy, posgroup = order
+    if not posgroup and policy == 0 and len(blocks) == 1 and blocks[0] == tuple(range(nvars)):
+        def key(term):
+            mono = term[0]
+            return ((-sum(mono), mono[::-1]), term[1])
+        return key
+
+    def key(term):
+        mono, pos = term
+        g = posgroup[pos] if posgroup else 0
+        mk = tuple(
+            (-sum(mono[i] for i in blk), tuple(mono[i] for i in reversed(blk)))
+            for blk in blocks
+        )
+        if policy == 1:
+            return (g, pos, mk)
+        return (g, mk, pos)
+    return key
+
+
 def nf_vec(u, basis, order, p):
     """Fully reduced normal form of u against basis (a sequence of vecs
     with nonzero leads).  Scans terms from the greatest, reduces by the
-    first basis element whose lead divides; deterministic."""
+    first basis element whose lead divides; deterministic.
+
+    Terms of u above its first reducible term are read in order and are
+    already in normal form.  From the first reduction on, the working
+    vector is a sparse accumulator (a dict term -> coeff) plus a heap of
+    (key, term) entries that yields its greatest term.  Reducing a term
+    by g folds -factor * q * g[1:] into the dict (g's lead cancels the
+    term exactly, so it is never added) and pushes a heap entry only for
+    a term new to the dict, so a step costs the length of g rather than
+    of the whole working vector.  Deletion is lazy: an entry whose term
+    was cancelled, or popped already, is skipped when it comes off the
+    heap.  Every product q * m still goes through mono_mul and its
+    EXP_LIMIT check."""
     done = []
-    work = list(u)
-    while work:
-        (tm, tp), tc = work[0]
-        red = None
+    heap = None
+    i, n = 0, len(u)
+    while True:
+        if heap is None:
+            if i == n:
+                break
+            term, tc = u[i]
+            i += 1
+        else:
+            if not heap:
+                break
+            term = heappop(heap)[1]
+            tc = acc.pop(term, None)
+            if tc is None:
+                continue
+        tm, tp = term
         for g in basis:
             (gm, gp), gc = g[0]
             if gp == tp and mono_divides(gm, tm):
-                red = g
                 break
-        if red is None:
-            done.append(work.pop(0))
+        else:
+            done.append((term, tc))
             continue
-        (gm, gp), gc = red[0]
+        if heap is None:
+            key = _heap_key(order, len(tm))
+            acc = dict(u[i:])
+            heap = [(key(t), t) for t in acc]
+            heapify(heap)
         q = mono_div(tm, gm)
-        factor = tc * coeff_inv(gc, p)
+        factor = -tc * coeff_inv(gc, p)
         if p:
             factor %= p
-        work = list(add_vec(tuple(work), neg_vec(scale_vec(red, factor, q, p), p), order, p))
+        for (m, pos), c in g[1:]:
+            t = (mono_mul(q, m), pos)
+            c = factor * c
+            if p:
+                c %= p
+            old = acc.get(t)
+            if old is None:
+                acc[t] = c
+                heappush(heap, (key(t), t))
+            else:
+                c += old
+                if p:
+                    c %= p
+                if c:
+                    acc[t] = c
+                else:
+                    del acc[t]
     return tuple(done)
 
 
