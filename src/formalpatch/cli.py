@@ -16,7 +16,7 @@ from .instance import InstanceError, bundled_path, load_instance
 from .poly import ParseError, Polynomial, canonical_text, parse_poly
 from .report import Report
 from .repro import REPRO_IDS, run_repro
-from .rings import RingError, symbolic_power
+from .rings import RingError, ideal_power_gens, symbolic_power
 from .towers import TowerError, stabilization_index, verify_tower_laws
 from . import patch
 
@@ -58,8 +58,6 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--depth", type=_positive_int, help="override the instance depth")
     p.add_argument("--dmax", type=_nonneg_int, help="cap the denominator schedule")
-    p.add_argument("--seed", type=_nonneg_int, default=0,
-                   help="seed for randomized checks (reserved; fixed default)")
     report_flags(p)
 
     p = sub.add_parser("tower-verify", help="verify the filtration laws on an instance's tower")
@@ -89,28 +87,9 @@ def build_parser():
     report_flags(p)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
-    p.add_argument("--seed", type=_nonneg_int, default=0,
-                   help="seed for randomized checks (reserved; fixed default)")
     report_flags(p)
 
     return parser
-
-
-def _map_solve_records(sol):
-    """Solver records use FLAT/NOT-FLAT for the flatness certificate;
-    reports keep the fixed verdict vocabulary, so fold the certificate
-    result into the witness."""
-    out = []
-    for name, level, verdict, witness in sol.records:
-        if name == "flatness":
-            if verdict == "FLAT":
-                out.append((name, level, "PASS", "FLAT"))
-            else:
-                out.append((name, level, "FAIL",
-                            "NOT-FLAT; %s" % witness if witness else "NOT-FLAT"))
-        else:
-            out.append((name, level, verdict, witness))
-    return out
 
 
 def _instance_path(text):
@@ -136,7 +115,7 @@ def _cmd_solve(args):
         ("denominator", str(sol.denominator)),
         ("sections", "; ".join(sol.section_texts())),
     ]
-    return Report("solve", args.instance, header, _map_solve_records(sol))
+    return Report("solve", args.instance, header, sol.records)
 
 
 def _cmd_tower_verify(args):
@@ -170,10 +149,7 @@ def _cmd_symbolic_power(args):
     B = inst.ring
     ctx = B.context
     gens = pd.prime_gens[j - 1]
-    power_gens = gens
-    for _ in range(n - 1):
-        power_gens = [a * b for a in power_gens for b in gens]
-    Pn = B.ideal(power_gens)
+    Pn = B.ideal(ideal_power_gens(gens, n))
     sp_texts = [canonical_text(Polynomial(ctx, gv)) for gv in sp.visible_gens()]
     missing = next(
         (gv for gv in sp.gens if not Pn.contains(gv)), None
@@ -231,7 +207,7 @@ def _cmd_repro(args):
 
 
 def _cmd_selftest(args):
-    rep = Report("selftest", "builtin", [("seed", str(args.seed))])
+    rep = Report("selftest", "builtin")
     for rid in sorted(REPRO_IDS):
         first = run_repro(rid)
         second = run_repro(rid)

@@ -135,6 +135,11 @@ def vec_of_polys(coords: Sequence[Polynomial]):
     return tuple(vec)
 
 
+def unit_vec(ctx: PolyContext, k: int):
+    """The k-th unit vector of a free module over ctx."""
+    return (((kernel.mono_one(ctx.nvars), k), ctx.field.one),)
+
+
 def vec_text(ctx: PolyContext, rank: int, vec) -> str:
     coords = [[] for _ in range(rank)]
     for (m, pos), c in vec:
@@ -309,8 +314,7 @@ class SubmoduleBasis:
 
     def is_everything(self) -> bool:
         """Does the submodule contain every unit vector?"""
-        one = kernel.mono_one(self.context.nvars)
-        return all(self.contains((((one, j), self.context.field.one),)) for j in range(self.rank))
+        return all(self.contains(unit_vec(self.context, j)) for j in range(self.rank))
 
     def _ring_rows(self):
         if self._ringrow_basis is None:

@@ -24,10 +24,12 @@ from formalpatch.engine import (
     submodule,
     submodule_intersect,
     syzygy_project,
+    unit_vec,
     vec_of_polys,
     vec_text,
 )
 from formalpatch.poly import Polynomial, canonical_text
+from formalpatch.report import Check
 from formalpatch.rings import (
     BaseRing,
     PrimeData,
@@ -221,27 +223,26 @@ class PatchProblem:
             acc = kernel.add_vec(acc, term, order, ctx.p)
         return acc
 
+    def difference(self, a, da: int, b, db: int):
+        """f2^db alpha1(a) - f1^da alpha2(b) in B^{g0}: the section
+        (a/f1^da, b/f2^db) satisfies the patching condition exactly when
+        this lies in the relations of M_0."""
+        ctx = self.base.context
+        order = self.satrel(0, None).order
+        lhs = kernel.mul_vec_poly(
+            self._alpha_image(1, a), vec_of_polys([self.config.f2**db]), order, ctx.p
+        )
+        rhs = kernel.mul_vec_poly(
+            self._alpha_image(2, b), vec_of_polys([-(self.config.f1**da)]), order, ctx.p
+        )
+        return kernel.add_vec(lhs, rhs, order, ctx.p)
+
     def kernel_basis(self, level: Optional[int], D: int) -> SubmoduleBasis:
         """K_D = pairs (a, b) with f2^D alpha1(a) = f1^D alpha2(b) in
         the saturated M_0 coordinates; a submodule of B_i^{g1+g2}."""
         ctx = self.base.context
-        p = ctx.p
-        f1D = (self.config.f1**D).terms
-        f2D = (self.config.f2**D).terms
-        order0 = self.satrel(0, level).order
-        main = []
-        for k in range(self.g1):
-            row = self.alpha1[k]
-            scaled = ()
-            for (m, _), c in f2D:
-                scaled = kernel.add_vec(scaled, kernel.scale_vec(row, c, m, p), order0, p)
-            main.append(scaled)
-        for k in range(self.g2):
-            row = self.alpha2[k]
-            scaled = ()
-            for (m, _), c in f1D:
-                scaled = kernel.add_vec(scaled, kernel.scale_vec(row, p - c if p else -c, m, p), order0, p)
-            main.append(scaled)
+        main = [self.difference(unit_vec(ctx, k), D, (), D) for k in range(self.g1)]
+        main += [self.difference((), D, unit_vec(ctx, k), D) for k in range(self.g2)]
         R = self.ring_at(level)
         return syzygy_project(
             main, self.satrel(0, level).gens, ctx, self.g0, ring_rels=R.rels_vecs
@@ -251,14 +252,16 @@ class PatchProblem:
         """(a, b) -> (f1^s a, f2^s b), the denominator-D to D+s embedding."""
         if s == 0:
             return vec
-        ctx = self.base.context
         a, b = _split_pair(vec, self.g1)
-        f1s = vec_of_polys([self.config.f1**s])
-        f2s = vec_of_polys([self.config.f2**s])
+        return self.scaled_pair(a, s, b, s)
+
+    def scaled_pair(self, a, sa: int, b, sb: int):
+        """The pair (f1^sa a, f2^sb b)."""
+        ctx = self.base.context
         order = self.zero_pairs(None).order
-        a2 = kernel.mul_vec_poly(a, f1s, order, ctx.p)
-        b2 = kernel.mul_vec_poly(b, f2s, order, ctx.p)
-        return _join_pair(a2, tuple(b2), self.g1)
+        a2 = kernel.mul_vec_poly(a, vec_of_polys([self.config.f1**sa]), order, ctx.p)
+        b2 = kernel.mul_vec_poly(b, vec_of_polys([self.config.f2**sb]), order, ctx.p)
+        return _join_pair(a2, b2, self.g1)
 
     def span_with_zero_pairs(self, pair_vecs, level: Optional[int]) -> SubmoduleBasis:
         R = self.ring_at(level)
@@ -288,26 +291,16 @@ class PatchProblem:
         return remaining
 
 
-def _sat_span_contains_units(problem, part_rows, e, level):
-    """Do the given M_e coordinate vectors generate M_{e,i} after
-    localization?  Checked as: every unit vector lies in the span
-    saturated at f_e."""
-    f = problem.config.f1 if e == 1 else problem.config.f2
-    g = problem.g1 if e == 1 else problem.g2
-    R = problem.ring_at(level)
+def _unreached_generator(problem, rows, rel, f, level):
+    """Index of the first unit vector outside the span of `rows` and
+    the relation basis `rel`, saturated at f over level `level`'s ring;
+    None when the rows generate everything after inverting f."""
     ctx = problem.base.context
     span = submodule(
-        list(part_rows) + list(problem.satrel(e, level).gens),
-        ctx,
-        g,
-        ring_rels=R.rels_vecs,
+        list(rows) + list(rel.gens), ctx, rel.rank, ring_rels=problem.ring_at(level).rels_vecs
     )
     span = saturate(span, f)[0]
-    one = kernel.mono_one(ctx.nvars)
-    for k in range(g):
-        if not span.contains((((one, k), ctx.field.one),)):
-            return False, k
-    return True, None
+    return next((k for k in range(rel.rank) if not span.contains(unit_vec(ctx, k))), None)
 
 
 def _torsion_records(problem, satrels_by_level, label, pool):
@@ -332,26 +325,23 @@ def _torsion_records(problem, satrels_by_level, label, pool):
                 ti_rows + list(Snext.gens), ctx, g, ring_rels=Snext.ring_rels
             )
             ok = lhs.gens == rhs.gens
-            records.append(
-                (label + "-t-regularity", i, "PASS" if ok else "FAIL", "")
-            )
+            records.append(Check(label + "-t-regularity", i, "PASS" if ok else "FAIL"))
         Q = _torsion_closure(S, pool)
         ok = Q.gens == S.gens
         witness = ""
         if not ok:
             extra = next(gv for gv in Q.gens if not S.contains(gv))
             witness = vec_text(ctx, g, extra)
-        records.append((label + "-q-vanishing", i, "PASS" if ok else "FAIL", witness))
+        records.append(Check(label + "-q-vanishing", i, "PASS" if ok else "FAIL", witness))
         inter = None
         for rho in cfg.pd.separators:
             satk = saturate(S, rho.rename_into(ctx))[0]
             inter = satk if inter is None else submodule_intersect(inter, satk)
         ok = inter.gens == S.gens
-        records.append((label + "-separator-kernel", i, "PASS" if ok else "FAIL", ""))
-    all_ok = all(r[2] == "PASS" for r in records)
+        records.append(Check(label + "-separator-kernel", i, "PASS" if ok else "FAIL"))
+    all_ok = all(r.verdict == "PASS" for r in records)
     records.append(
-        (label + "-torsion-freeness", 0,
-         "CERTIFIED-AT-DEPTH" if all_ok else "FAIL", "")
+        Check(label + "-torsion-freeness", 0, "CERTIFIED-AT-DEPTH" if all_ok else "FAIL")
     )
     return records
 
@@ -390,24 +380,15 @@ def pose_problem(config, module1, module2, module0, alpha1_matrix, alpha2_matrix
                         witness=vec_text(ctx, g0, img),
                     )
             # surjectivity after inverting f0: every M_0 generator hit
-            span = submodule(
-                [problem._alpha_image(e, problem_unit(ctx, k)) for k in range(g)]
-                + list(S0.gens),
-                ctx,
-                g0,
-                ring_rels=problem.ring_at(i).rels_vecs,
-            )
-            span = saturate(span, f0)[0]
-            one = kernel.mono_one(ctx.nvars)
-            for k in range(g0):
-                if not span.contains((((one, k), ctx.field.one),)):
-                    raise PatchError(
-                        "alpha%d not surjective at level %s: generator %d of M_0 unreachable"
-                        % (e, i, k + 1),
-                        witness="generator %d" % (k + 1),
-                    )
+            alpha_rows = [problem._alpha_image(e, unit_vec(ctx, k)) for k in range(g)]
+            k = _unreached_generator(problem, alpha_rows, S0, f0, i)
+            if k is not None:
+                raise PatchError(
+                    "alpha%d not surjective at level %s: generator %d of M_0 unreachable"
+                    % (e, i, k + 1),
+                    witness="generator %d" % (k + 1),
+                )
             # injectivity: kernel of the alpha map lies in M_e's relations
-            alpha_rows = [problem._alpha_image(e, problem_unit(ctx, k)) for k in range(g)]
             K = syzygy_project(
                 alpha_rows, S0.gens, ctx, g0, ring_rels=problem.ring_at(i).rels_vecs
             )
@@ -423,17 +404,12 @@ def pose_problem(config, module1, module2, module0, alpha1_matrix, alpha2_matrix
         sats = {i: problem.satrel(e, i) for i in range(1, config.depth + 1)}
         recs = _torsion_records(problem, sats, label, pool)
         problem.records.extend(recs)
-        bad = [r for r in recs if r[2] not in ("PASS", "CERTIFIED-AT-DEPTH")]
+        bad = [r for r in recs if r.verdict not in ("PASS", "CERTIFIED-AT-DEPTH")]
         if bad:
             raise PatchError(
-                "torsion-freeness certificate failed: %s at level %d" % (bad[0][0], bad[0][1])
+                "torsion-freeness certificate failed: %s at level %d" % (bad[0].name, bad[0].level)
             )
     return problem
-
-
-def problem_unit(ctx, k):
-    one = kernel.mono_one(ctx.nvars)
-    return (((one, k), ctx.field.one),)
 
 
 def _default_pool(config):
@@ -537,8 +513,8 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
     if stabilized_at is None:
         return PatchSolution(
             problem, "UNSTABILIZED", sched[-1] if sched else 0, [], None, None,
-            [("stabilization", 0, "UNSTABILIZED",
-              "no two consecutive bounds in %s agree" % sched)],
+            [Check("stabilization", 0, "UNSTABILIZED",
+                   "no two consecutive bounds in %s agree" % sched)],
             trace, "NOT-CHECKED",
         )
 
@@ -556,66 +532,24 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
 
     sections = problem.sections_at(None, canonical)
     ctx = problem.base.context
-    if not sections:
-        # the zero solution: present with one generator killed by 1
-        base_mod = PresModule.make(cfg.base, 1, [vec_of_polys([Polynomial.one(ctx)])])
-    else:
-        rel = syzygy_project(
-            sections,
-            problem.zero_pairs(None).gens,
-            ctx,
-            problem.g1 + problem.g2,
-            ring_rels=cfg.base.rels_vecs,
-        )
-        base_mod = PresModule.make(cfg.base, len(sections), rel.gens)
+    base_mod = _pair_presentation(problem, sections)
     tower = build_tower(base_mod, cfg.depth)
 
-    records = []
     pool = _default_pool(cfg)
-    # gamma span equality in both coordinates at every level
+    # gamma span equality in both coordinates and diagram commutation
+    own = [(a, canonical, b, canonical)
+           for a, b in (_split_pair(s, problem.g1) for s in sections)]
+    records = certify_solution(problem, own)
     for i in levels:
-        for e in (1, 2):
-            parts = []
-            for svec in sections:
-                a, b = _split_pair(svec, problem.g1)
-                parts.append(a if e == 1 else b)
-            ok, missing = _sat_span_contains_units(problem, parts, e, i)
-            records.append(
-                ("gamma-span-m%d" % e, i, "PASS" if ok else "FAIL",
-                 "" if ok else "generator %d not reached" % (missing + 1))
-            )
-        # diagram commutation: both routes to M_0 agree for each section
-        S0 = problem.satrel(0, i)
-        verdict, witness = "PASS", ""
-        f1d = (cfg.f1**canonical).terms
-        f2d = (cfg.f2**canonical).terms
-        for svec in sections:
-            a, b = _split_pair(svec, problem.g1)
-            ia = problem._alpha_image(1, a)
-            ib = problem._alpha_image(2, b)
-            diff = ()
-            for (m, _), c in f2d:
-                diff = kernel.add_vec(diff, kernel.scale_vec(ia, c, m, ctx.p), S0.order, ctx.p)
-            for (m, _), c in f1d:
-                diff = kernel.add_vec(
-                    diff, kernel.scale_vec(ib, ctx.p - c if ctx.p else -c, m, ctx.p),
-                    S0.order, ctx.p,
-                )
-            if not S0.contains(diff):
-                verdict, witness = "FAIL", vec_text(ctx, problem.g0, diff)
-                break
-        records.append(("commutation", i, verdict, witness))
         # the level fiber product is exactly the tower's level module:
         # surjectivity is span equality, injectivity is kernel containment
-        scaled = list(sections)
-        span = problem.span_with_zero_pairs(scaled, i)
+        span = problem.span_with_zero_pairs(sections, i)
         ok = all(span.contains(g) for g in K(i, canonical).gens)
-        records.append(
-            ("level-surjectivity", i, "PASS" if ok else "FAIL", "")
-        )
+        records.append(Check("level-surjectivity", i, "PASS" if ok else "FAIL"))
+        bad = None
         if sections:
             ker = syzygy_project(
-                scaled,
+                sections,
                 problem.zero_pairs(i).gens,
                 ctx,
                 problem.g1 + problem.g2,
@@ -623,35 +557,51 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
             )
             reli = tower.level(i).rel
             bad = next((gv for gv in ker.gens if not reli.contains(gv)), None)
-            records.append(
-                ("level-injectivity", i, "PASS" if bad is None else "FAIL",
-                 "" if bad is None else vec_text(ctx, base_mod.g, bad))
-            )
-        else:
-            records.append(("level-injectivity", i, "PASS", ""))
+        records.append(
+            Check("level-injectivity", i, "PASS" if bad is None else "FAIL",
+                  "" if bad is None else vec_text(ctx, base_mod.g, bad))
+        )
     # torsion-freeness of the solution tower itself
-    sol_sats = {}
-    for i in levels:
-        sol_sats[i] = tower.level(i).rel
+    sol_sats = {i: tower.level(i).rel for i in levels}
     records.extend(_torsion_records(problem, sol_sats, "solution", pool))
 
     flat_verdict = "NOT-CHECKED"
     if problem.expected_rank is not None:
         fl = flatness_certificate(base_mod, problem.expected_rank)
         flat_verdict = fl.verdict
-        records.append(("flatness", 0, fl.verdict, fl.witness))
+        if fl.verdict == "FLAT":
+            records.append(Check("flatness", 0, "PASS", "FLAT"))
+        else:
+            records.append(Check("flatness", 0, "FAIL",
+                                 "NOT-FLAT; %s" % fl.witness if fl.witness else "NOT-FLAT"))
     records.append(
-        ("stabilization", 0, "PASS",
-         "bounds %d and %d agree; canonical bound %d" % (stabilized_at[0], D_stab, canonical))
+        Check("stabilization", 0, "PASS",
+              "bounds %d and %d agree; canonical bound %d" % (stabilized_at[0], D_stab, canonical))
     )
 
     status = "PASS" if all(
-        r[2] in ("PASS", "CERTIFIED-AT-DEPTH") for r in records if r[0] != "flatness"
+        r.verdict in ("PASS", "CERTIFIED-AT-DEPTH") for r in records if r.name != "flatness"
     ) else "FAIL"
-    records.sort(key=lambda r: (r[0], r[1]))
+    records.sort(key=lambda r: (r.name, r.level))
     return PatchSolution(
         problem, status, canonical, sections, base_mod, tower, records, trace, flat_verdict
     )
+
+
+def _pair_presentation(problem, pairs) -> PresModule:
+    """The module over B generated by the given pairs modulo the zero
+    pairs; no pairs present the zero module, one generator killed by 1."""
+    base = problem.base
+    if not pairs:
+        return PresModule.make(base, 1, [vec_of_polys([Polynomial.one(base.context)])])
+    rel = syzygy_project(
+        pairs,
+        problem.zero_pairs(None).gens,
+        base.context,
+        problem.g1 + problem.g2,
+        ring_rels=base.rels_vecs,
+    )
+    return PresModule.make(base, len(pairs), rel.gens)
 
 
 def certify_solution(problem: PatchProblem, candidate_sections) -> list:
@@ -660,47 +610,43 @@ def certify_solution(problem: PatchProblem, candidate_sections) -> list:
     coordinates plus diagram commutation."""
     cfg = problem.config
     ctx = problem.base.context
+    diffs = [problem.difference(*s) for s in candidate_sections]
     records = []
     for i in range(1, cfg.depth + 1):
-        for e in (1, 2):
+        for e, f in ((1, cfg.f1), (2, cfg.f2)):
             parts = [s[0] if e == 1 else s[2] for s in candidate_sections]
-            ok, missing = _sat_span_contains_units(problem, parts, e, i)
+            k = _unreached_generator(problem, parts, problem.satrel(e, i), f, i)
             records.append(
-                ("gamma-span-m%d" % e, i, "PASS" if ok else "FAIL",
-                 "" if ok else "generator %d not reached" % (missing + 1))
+                Check("gamma-span-m%d" % e, i, "PASS" if k is None else "FAIL",
+                      "" if k is None else "generator %d not reached" % (k + 1))
             )
         S0 = problem.satrel(0, i)
-        verdict, witness = "PASS", ""
-        for a, da, b, db in candidate_sections:
-            ia = problem._alpha_image(1, a)
-            ib = problem._alpha_image(2, b)
-            f2d = (cfg.f2**db).terms
-            f1d = (cfg.f1**da).terms
-            diff = ()
-            for (m, _), c in f2d:
-                diff = kernel.add_vec(diff, kernel.scale_vec(ia, c, m, ctx.p), S0.order, ctx.p)
-            for (m, _), c in f1d:
-                diff = kernel.add_vec(
-                    diff, kernel.scale_vec(ib, ctx.p - c if ctx.p else -c, m, ctx.p),
-                    S0.order, ctx.p,
-                )
-            if not S0.contains(diff):
-                verdict, witness = "FAIL", vec_text(ctx, problem.g0, diff)
-                break
-        records.append(("commutation", i, verdict, witness))
-    records.sort(key=lambda r: (r[0], r[1]))
+        bad = next((d for d in diffs if not S0.contains(d)), None)
+        records.append(
+            Check("commutation", i, "PASS" if bad is None else "FAIL",
+                  "" if bad is None else vec_text(ctx, problem.g0, bad))
+        )
+    records.sort(key=lambda r: (r.name, r.level))
     return records
 
 
-def _common_denominator_pairs(problem, sections_with_denoms, D):
-    ctx = problem.base.context
-    order = problem.zero_pairs(None).order
-    out = []
-    for a, da, b, db in sections_with_denoms:
-        a2 = kernel.mul_vec_poly(a, vec_of_polys([problem.config.f1 ** (D - da)]), order, ctx.p)
-        b2 = kernel.mul_vec_poly(b, vec_of_polys([problem.config.f2 ** (D - db)]), order, ctx.p)
-        out.append(_join_pair(tuple(a2), tuple(b2), problem.g1))
-    return out
+def _compare_spans(problem, solution, candidate_sections):
+    """Bring the solution and the candidate to their least common
+    denominator; return the candidate pairs and, per level, the first
+    candidate pair outside the solution's span and the first solution
+    pair outside the candidate's span (None where there is none)."""
+    D = max([solution.denominator] + [max(s[1], s[3]) for s in candidate_sections])
+    sol_pairs = [problem.scale_pair_into(g, D - solution.denominator) for g in solution.sections]
+    cand_pairs = [problem.scaled_pair(a, D - da, b, D - db) for a, da, b, db in candidate_sections]
+
+    def escapes():
+        for i in range(1, problem.config.depth + 1):
+            sol_span = problem.span_with_zero_pairs(sol_pairs, i)
+            cand_span = problem.span_with_zero_pairs(cand_pairs, i)
+            yield (next((cp for cp in cand_pairs if not sol_span.contains(cp)), None),
+                   next((sp for sp in sol_pairs if not cand_span.contains(sp)), None))
+
+    return cand_pairs, escapes()
 
 
 def check_maximality(solution: PatchSolution, candidate_sections) -> dict:
@@ -708,28 +654,18 @@ def check_maximality(solution: PatchSolution, candidate_sections) -> dict:
     span at every level; STRICT when some solution section escapes the
     candidate's span somewhere."""
     problem = solution.problem
-    cfg = problem.config
-    denoms = [max(s[1], s[3]) for s in candidate_sections] or [0]
-    D = max([solution.denominator] + denoms)
-    sol_pairs = [problem.scale_pair_into(g, D - solution.denominator) for g in solution.sections]
-    cand_pairs = _common_denominator_pairs(problem, candidate_sections, D)
+    _, escapes = _compare_spans(problem, solution, candidate_sections)
     contained = True
     strict = False
     witness = ""
-    for i in range(1, cfg.depth + 1):
-        sol_span = problem.span_with_zero_pairs(sol_pairs, i)
-        cand_span = problem.span_with_zero_pairs(cand_pairs, i)
-        for cp in cand_pairs:
-            if not sol_span.contains(cp):
-                contained = False
-                witness = vec_text(problem.base.context, problem.g1 + problem.g2, cp)
-                break
-        for sp in sol_pairs:
-            if not cand_span.contains(sp):
-                strict = True
-                if not witness:
-                    witness = vec_text(problem.base.context, problem.g1 + problem.g2, sp)
-                break
+    for cand_out, sol_out in escapes:
+        if cand_out is not None:
+            contained = False
+            witness = vec_text(problem.base.context, problem.g1 + problem.g2, cand_out)
+        if sol_out is not None:
+            strict = True
+            if not witness:
+                witness = vec_text(problem.base.context, problem.g1 + problem.g2, sol_out)
         if not contained:
             break
     return {
@@ -815,31 +751,11 @@ def check_flat_uniqueness(problem: PatchProblem, solution: PatchSolution,
     signature."""
     if solution.flat_verdict != "FLAT":
         raise PatchError("flat uniqueness requires a FLAT certified solution")
-    cfg = problem.config
-    ctx = problem.base.context
-    D = max([solution.denominator] + [max(s[1], s[3]) for s in candidate_sections] or [0])
-    cand_pairs = _common_denominator_pairs(problem, candidate_sections, D)
-    # candidate presentation from its sections over the base ring
-    if cand_pairs:
-        rel = syzygy_project(
-            cand_pairs,
-            problem.zero_pairs(None).gens,
-            ctx,
-            problem.g1 + problem.g2,
-            ring_rels=cfg.base.rels_vecs,
-        )
-        cand_mod = PresModule.make(cfg.base, len(cand_pairs), rel.gens)
-    else:
-        cand_mod = PresModule.make(cfg.base, 1, [vec_of_polys([Polynomial.one(ctx)])])
-    fl = flatness_certificate(cand_mod, candidate_rank)
+    cand_pairs, escapes = _compare_spans(problem, solution, candidate_sections)
+    fl = flatness_certificate(_pair_presentation(problem, cand_pairs), candidate_rank)
     if fl.verdict != "FLAT":
         return {"verdict": "REJECTED-NONFLAT", "witness": fl.witness}
-    sol_pairs = [problem.scale_pair_into(g, D - solution.denominator) for g in solution.sections]
-    for i in range(1, cfg.depth + 1):
-        sol_span = problem.span_with_zero_pairs(sol_pairs, i)
-        cand_span = problem.span_with_zero_pairs(cand_pairs, i)
-        if not all(sol_span.contains(cp) for cp in cand_pairs) or not all(
-            cand_span.contains(sp) for sp in sol_pairs
-        ):
+    for i, (cand_out, sol_out) in enumerate(escapes, 1):
+        if cand_out is not None or sol_out is not None:
             return {"verdict": "DIFFERS", "witness": "level %d" % i}
     return {"verdict": "EQUAL", "witness": ""}

@@ -8,8 +8,8 @@ containment."""
 from .engine import submodule, vec_of_polys, vec_text
 from .instance import bundled_path, load_instance
 from .poly import Polynomial, canonical_text, parse_poly
-from .report import Report
-from .rings import symbolic_power
+from .report import Check, Report
+from .rings import ideal_power_gens, symbolic_power
 from .towers import (
     default_pool,
     q_filtration,
@@ -23,8 +23,8 @@ __all__ = ["REPRO_IDS", "run_repro"]
 
 def _rec(ok, name, level, witness="", failwitness=None):
     if ok:
-        return (name, level, "PASS", witness)
-    return (name, level, "FAIL", failwitness if failwitness is not None else witness)
+        return Check(name, level, "PASS", witness)
+    return Check(name, level, "FAIL", failwitness if failwitness is not None else witness)
 
 
 def _unit_pair(problem):
@@ -73,7 +73,7 @@ def _repro_a2(rid):
     # candidate I certifies and sits strictly below the solution
     cand, _rank = inst.candidate("I")
     cert = patch.certify_solution(prob, cand)
-    rep.add(*_rec(all(r[2] == "PASS" for r in cert), "candidate-ideal-certified", 0,
+    rep.add(*_rec(all(r.verdict == "PASS" for r in cert), "candidate-ideal-certified", 0,
                   "all %d records" % len(cert)))
     mx = patch.check_maximality(sol, cand)
     rep.add(*_rec(mx["verdict"] == "CONTAINED" and mx["strict"],
@@ -174,8 +174,7 @@ def _repro_a1_symbolic(rid):
     x1 = vec_of_polys([mk("x")])
     rep.add(*_rec(sp.contains(x1), "symbolic-membership", 2,
                   "x in P^(2); saturation exponent %d" % exponent))
-    gens = pd.prime_gens[0]
-    P2 = B.ideal([a * b for a in gens for b in gens])
+    P2 = B.ideal(ideal_power_gens(pd.prime_gens[0], 2))
     rep.add(*_rec(not P2.contains(x1), "ordinary-exclusion", 2, "x not in P^2"))
     return rep
 

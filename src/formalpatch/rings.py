@@ -368,13 +368,17 @@ def symbolic_power(pd: PrimeData, j: int, n: int, separator: Optional[Polynomial
     s = separator if separator is not None else pd.separators[j]
     if pd.in_prime(j, s):
         raise RingError("separator %s lies in the prime itself" % canonical_text(s))
-    B = pd.ring
-    gens = [g for g in pd.prime_gens[j]]
-    power_gens = gens
-    for _ in range(n - 1):
-        power_gens = [a * b for a in power_gens for b in gens]
-    Pn = B.ideal(power_gens)
+    Pn = pd.ring.ideal(ideal_power_gens(pd.prime_gens[j], n))
     return saturate(Pn, s)
+
+
+def ideal_power_gens(gens: Sequence[Polynomial], n: int) -> list:
+    """Generators of (gens)^n: every n-fold product, the first factor
+    varying slowest."""
+    power = list(gens)
+    for _ in range(n - 1):
+        power = [a * b for a in power for b in gens]
+    return power
 
 
 def lt_ideal_dimension(basis: SubmoduleBasis) -> int:

@@ -18,11 +18,12 @@ from formalpatch.engine import (
     saturate,
     submodule,
     submodule_intersect,
-    vec_of_polys,
+    unit_vec,
     vec_text,
 )
 from formalpatch.poly import Polynomial, canonical_text
-from formalpatch.rings import BaseRing, RingError, TruncatedRing, localize, truncate
+from formalpatch.report import Check
+from formalpatch.rings import BaseRing, RingError, ideal_power_gens, localize, truncate
 
 
 class TowerError(RuntimeError):
@@ -72,8 +73,7 @@ class PresModule:
         )
 
     def unit_vec(self, k: int):
-        one = kernel.mono_one(self.context.nvars)
-        return (((one, k), self.context.field.one),)
+        return unit_vec(self.context, k)
 
     def multiply(self, f: Polynomial, vec):
         fv = tuple(((m, 0), c) for (m, _), c in f.rename_into(self.context).terms)
@@ -255,10 +255,6 @@ def stabilization_index(filt: QNFiltration) -> int:
     )
 
 
-def _records_add(records, name, level, verdict, witness=""):
-    records.append({"name": name, "level": level, "verdict": verdict, "witness": witness})
-
-
 def verify_tower_laws(tower: TowerModule, pd, f_loc: Polynomial, pool: Optional[Sequence[Polynomial]] = None):
     """Structured PASS/FAIL records for the filtration laws at every
     level, plus the localization base-change comparison at f_loc."""
@@ -273,10 +269,10 @@ def verify_tower_laws(tower: TowerModule, pd, f_loc: Polynomial, pool: Optional[
         Mi = tower.level(i)
         closed = _torsion_closure(Q, pool)
         if closed.gens == Q.gens:
-            _records_add(records, "q-closure", i, "PASS")
+            records.append(Check("q-closure", i, "PASS"))
         else:
             extraneous = next(gv for gv in closed.gens if not Q.contains(gv))
-            _records_add(records, "q-closure", i, "FAIL", vec_text(ctx, g, extraneous))
+            records.append(Check("q-closure", i, "FAIL", vec_text(ctx, g, extraneous)))
 
         verdict, witness = "PASS", ""
         for cq, cf in filt.certificates[i - 1]:
@@ -288,7 +284,7 @@ def verify_tower_laws(tower: TowerModule, pd, f_loc: Polynomial, pool: Optional[
                 break
         if not filt.certified[i - 1]:
             verdict, witness = "FAIL", "uncertified generator (pool exhausted)"
-        _records_add(records, "q-certificates", i, verdict, witness)
+        records.append(Check("q-certificates", i, verdict, witness))
 
         verdict, witness = "PASS", ""
         Ni = filt.n_level(i)
@@ -309,21 +305,20 @@ def verify_tower_laws(tower: TowerModule, pd, f_loc: Polynomial, pool: Optional[
                 verdict = "FAIL"
                 witness = "generator %d" % (k + 1)
                 break
-        _records_add(records, "n-annihilators", i, verdict, witness)
+        records.append(Check("n-annihilators", i, verdict, witness))
 
         if i >= 2:
             prev_rel = tower.level(i - 1).rel
             ok = all(prev_rel.contains(gv) for gv in Mi.rel.gens)
-            _records_add(records, "transition-relations", i, "PASS" if ok else "FAIL")
+            records.append(Check("transition-relations", i, "PASS" if ok else "FAIL"))
             Qprev = filt.q_level(i - 1)
             bad = next((gv for gv in Q.gens if not Qprev.contains(gv)), None)
-            _records_add(
-                records,
+            records.append(Check(
                 "transition-q-restriction",
                 i,
                 "PASS" if bad is None else "FAIL",
                 "" if bad is None else vec_text(ctx, g, bad),
-            )
+            ))
 
         verdict, witness = "PASS", ""
         ti = ctx.index(ctx.tvar)
@@ -337,13 +332,13 @@ def verify_tower_laws(tower: TowerModule, pd, f_loc: Polynomial, pool: Optional[
             if not filt.q_level(i - c).contains(stripped):
                 verdict, witness = "FAIL", vec_text(ctx, g, stripped)
                 break
-        _records_add(records, "divisibility", i, verdict, witness)
+        records.append(Check("divisibility", i, verdict, witness))
 
     try:
         n = stabilization_index(filt)
-        _records_add(records, "stabilization", 0, "PASS", "n = %d" % n)
+        records.append(Check("stabilization", 0, "PASS", "n = %d" % n))
     except TowerError as e:
-        _records_add(records, "stabilization", 0, "FAIL", str(e))
+        records.append(Check("stabilization", 0, "FAIL", str(e)))
 
     # base-change: the filtration computed over the localization at
     # f_loc must agree with the localized filtration, both directions
@@ -374,9 +369,9 @@ def verify_tower_laws(tower: TowerModule, pd, f_loc: Polynomial, pool: Optional[
                 break
     except RingError as e:
         verdict, witness = "FAIL", str(e)
-    _records_add(records, "base-change", 0, verdict, witness)
+    records.append(Check("base-change", 0, verdict, witness))
 
-    records.sort(key=lambda r: (r["name"], r["level"]))
+    records.sort(key=lambda r: (r.name, r.level))
     return records, filt
 
 
@@ -402,12 +397,8 @@ def symbolic_containment_bound(
     for n in range(1, n_max + 1):
         T = None
         for j in range(pd.count):
-            gens = [g.rename_into(ctx) for g in pd.prime_gens[j]]
-            powers = gens
-            for _ in range(n - 1):
-                powers = [a * b for a in powers for b in gens]
             rows = []
-            for q in powers:
+            for q in ideal_power_gens([g.rename_into(ctx) for g in pd.prime_gens[j]], n):
                 for k in range(M.g):
                     rows.append(M.multiply(q, M.unit_vec(k)))
             PnM = M.span(rows)

@@ -177,7 +177,7 @@ def test_criterion_05_filtration_laws_and_transition_kernels(
     ]
     for tower, pd, f_loc in towers:
         records, filt = verify_tower_laws(tower, pd, f_loc)
-        assert all(r["verdict"] == "PASS" for r in records)
+        assert all(r.verdict == "PASS" for r in records)
         assert 1 <= stabilization_index(filt) <= 5
     solutions = [a2_solved[1], ring_problems["a1"][1], ring_problems["a2"][1], two_planes_solved[3]]
     for sol in solutions:

@@ -94,6 +94,17 @@ class TestSolve:
         assert "check flatness level 0: PASS  [FLAT]" in out
         assert "summary: CERTIFIED-AT-DEPTH" in out
 
+    def test_not_flat_solution_fails(self, capsys, tmp_path):
+        with open(bundled_path("a2-ideal-xy")) as fh:
+            doc = json.load(fh)
+        doc["problem"]["rank"] = 0
+        p = tmp_path / "a2-rank0.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "solve", str(p))
+        assert code == 1
+        assert "check flatness level 0: FAIL  [NOT-FLAT; (0)]" in out
+        assert "status: PASS" in out
+
     def test_records_sorted_by_name_then_level(self, capsys):
         _, out, _ = run(capsys, "solve", bundled_path("a2-ideal-xy"))
         keys = []

@@ -254,6 +254,39 @@ class TestCertifyAndMaximality:
         assert mx["witness"] == "(0, 1, 1, 0)"
 
 
+@pytest.mark.parametrize(
+    "name", ["a2-ideal-xy", "a1-partial-fractions", "two-planes", "flat-free-a2"]
+)
+def test_solver_records_match_certify_on_own_sections(name):
+    """The solver's gamma-span and commutation records are the
+    candidate certificate applied to its own sections at its
+    denominator."""
+    from formalpatch.instance import bundled_path, load_instance
+
+    _, prob, schedule = load_instance(bundled_path(name)).patch_setup()
+    sol = patch.solve(prob, schedule)
+    D = sol.denominator
+    own = [(a, D, b, D) for a, b in (patch._split_pair(s, prob.g1) for s in sol.sections)]
+    certified = patch.certify_solution(prob, own)
+    solver = [r for r in sol.records
+              if r.name.startswith("gamma-span-") or r.name == "commutation"]
+    assert certified and solver == certified
+
+
+def test_difference_matches_matrix_arithmetic(ideal_problem):
+    """f2^db alpha1(a) - f1^da alpha2(b), checked against polynomial
+    arithmetic on the gluing matrix rows."""
+    B, mk, cfg, prob = ideal_problem
+    ctx = B.context
+    a = vec_of_polys([mk("x + t"), mk("y^2")])
+    b = vec_of_polys([mk("1"), mk("-x*y")])
+    got = prob.difference(a, 2, b, 1)
+    # identity gluing matrices: alpha1(a) = a, alpha2(b) = b
+    want = [cfg.f2 * mk("x + t") - cfg.f1**2 * mk("1"),
+            cfg.f2 * mk("y^2") - cfg.f1**2 * mk("-x*y")]
+    assert vec_text(ctx, 2, got) == vec_text(ctx, 2, vec_of_polys(want))
+
+
 class TestFlatness:
     def test_relation_module_not_flat(self):
         B = make_base_ring(QQ, ["x", "t"], [], "t")

@@ -155,15 +155,15 @@ class TestTowerLaws:
         _, mk, pd, M = xmtn
         tw = build_tower(M, 4)
         records, filt = verify_tower_laws(tw, pd, mk("x"))
-        assert records == sorted(records, key=lambda r: (r["name"], r["level"]))
-        bad = [r for r in records if r["verdict"] != "PASS"]
+        assert records == sorted(records, key=lambda r: (r.name, r.level))
+        bad = [r for r in records if r.verdict != "PASS"]
         assert bad == []
 
     def test_record_names_and_count(self, xmtn):
         _, mk, pd, M = xmtn
         tw = build_tower(M, 4)
         records, _ = verify_tower_laws(tw, pd, mk("x"))
-        assert sorted({r["name"] for r in records}) == [
+        assert sorted({r.name for r in records}) == [
             "base-change",
             "divisibility",
             "n-annihilators",
@@ -183,15 +183,15 @@ class TestTowerLaws:
         pd1 = validate_prime_data(B, [[mk("t")]], [mk("1")])
         tw = build_tower(M, 3)
         records, _ = verify_tower_laws(tw, pd1, mk("x"), pool=[mk("1")])
-        bad = [r for r in records if r["verdict"] != "PASS"]
-        assert any(r["name"] == "n-annihilators" for r in bad)
+        bad = [r for r in records if r.verdict != "PASS"]
+        assert any(r.name == "n-annihilators" for r in bad)
 
     def test_free_tower_all_pass(self, line):
         B, mk, pd = line
         M = PresModule.make(B, 1, [])
         tw = build_tower(M, 4)
         records, _ = verify_tower_laws(tw, pd, mk("x"))
-        assert all(r["verdict"] == "PASS" for r in records)
+        assert all(r.verdict == "PASS" for r in records)
 
     def test_quotient_base_all_pass(self):
         B = make_base_ring(QQ, ["x", "y", "t"], ["t - x*y"], "t")
@@ -203,7 +203,7 @@ class TestTowerLaws:
         M = PresModule.make(B, 1, [])
         tw = build_tower(M, 3)
         records, _ = verify_tower_laws(tw, pd, mk("x + y"))
-        assert all(r["verdict"] == "PASS" for r in records)
+        assert all(r.verdict == "PASS" for r in records)
 
 
 class TestContainmentBound:
