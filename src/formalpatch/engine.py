@@ -10,11 +10,19 @@ there is no separate quotient arithmetic.
 Everything below the public wrappers works on the kernel's flat vec
 representation; see formalpatch._kernel_py for the format.
 
+Groebner bases come from one sugar-strategy Buchberger (_buchberger)
+that keeps its pair queue with the update of Gebauer and Moeller (1988):
+as each element joins the basis, criteria M and F, the product criterion
+(ideal case only) and criterion B_k drop pairs whose S-vectors would
+reduce to zero, and older elements whose lead the new one divides form
+no further pairs.  Only the pairs that survive are reduced and counted.
+
 Every Groebner run goes through the basis cache of its PolyContext
 (shared by the contexts derived with prepend_vars / drop_prefix), so a
 basis is computed once per ring family.  Entries record the budget
-their run used; a hit whose use exceeds the caller's budget is rerun,
-so it raises exactly the BudgetError an uncached run would.
+their run used (largest S-pair lcm degree, pairs reduced); a hit whose
+use exceeds the caller's budget is rerun, so it raises exactly the
+BudgetError an uncached run would.
 """
 
 from __future__ import annotations
@@ -176,43 +184,84 @@ def _fits(use, budget):
 
 
 def _buchberger(gens, order, p, rank1, budget):
-    """Sugar-strategy Buchberger with the product (ideal case only) and
-    chain criteria over canonical monic nonzero `gens` (_monic_gens).
+    """Sugar-strategy Buchberger over canonical monic nonzero `gens`
+    (_monic_gens), with the pair update of Gebauer and Moeller applied
+    as each element t (input or new) joins G:
+
+    - criteria M and F: a new pair (i, t) is dropped when another new
+      pair's lcm divides its lcm; of equal lcms one pair is kept;
+    - product criterion (ideal case only): a new pair with coprime leads
+      still eliminates others by M, then is dropped itself;
+    - criterion B_k: a queued pair (i, j) is dropped when lead(t) divides
+      its lcm and differs from both lcm(i, t) and lcm(j, t);
+    - elements whose lead lead(t) divides form no further pairs; they
+      stay in G for reduction.
+
+    Dropped pairs leave the sugar heap lazily: `live` holds the queued
+    pairs that are still wanted.
 
     Returns (basis, use): the unique reduced basis, leads descending,
-    monic; and (largest S-pair lcm degree, pairs popped), the least
-    budget under which this run completes."""
+    monic; and (largest S-pair lcm degree, pairs reduced), both over the
+    pairs that survive the update, the least budget under which this
+    run completes."""
     G = []
+    leads = []  # (monomial, position) of each G[k]
     sugar = []
     heap = []
-    done = set()
+    live = {}  # queued pair (i, j) -> its lcm
+    active = []  # elements that still form pairs
     counter = 0
     topdeg = 0
 
-    def push_pairs(t):
-        (mt, pt), _ = G[t][0]
-        for i in range(t):
-            (mi, pi), _ = G[i][0]
-            if pi != pt:
+    def update(t):
+        mt, pt = leads[t]
+        for (i, j), l in list(live.items()):
+            if (leads[i][1] == pt and kernel.mono_divides(mt, l)
+                    and kernel.mono_lcm(leads[i][0], mt) != l
+                    and kernel.mono_lcm(leads[j][0], mt) != l):
+                del live[i, j]
+        new = []
+        for i in active:
+            mi, pi = leads[i]
+            if pi == pt:
+                l = kernel.mono_lcm(mi, mt)
+                new.append((i, l, rank1 and kernel.mono_mul(mi, mt) == l))
+        kept_lcms = []  # of the new pairs kept so far, coprime ones included
+        for k, (i, l, coprime) in enumerate(new):
+            if not coprime and any(
+                kernel.mono_divides(l2, l) for l2 in kept_lcms + [n[1] for n in new[k + 1:]]
+            ):
                 continue
-            l = kernel.mono_lcm(mi, mt)
+            kept_lcms.append(l)
+            if coprime:
+                continue
+            mi = leads[i][0]
             s = max(
                 sugar[i] + kernel.mono_deg(l) - kernel.mono_deg(mi),
                 sugar[t] + kernel.mono_deg(l) - kernel.mono_deg(mt),
             )
+            live[i, t] = l
             heapq.heappush(heap, (s, kernel.term_sortkey((l, pt), order), i, t))
+        active[:] = [
+            i for i in active
+            if not (leads[i][1] == pt and kernel.mono_divides(mt, leads[i][0]))
+        ]
+        active.append(t)
+
+    def join(g, s):
+        G.append(g)
+        leads.append(g[0][0])
+        sugar.append(s)
+        update(len(G) - 1)
 
     for g in gens:
-        G.append(g)
-        sugar.append(_vec_sugar(g))
-        push_pairs(len(G) - 1)
+        join(g, _vec_sugar(g))
 
     while heap:
-        s, lk, i, j = heapq.heappop(heap)
-        done.add((i, j))
-        (mi, pi), _ = G[i][0]
-        (mj, pj), _ = G[j][0]
-        l = kernel.mono_lcm(mi, mj)
+        s, _, i, j = heapq.heappop(heap)
+        l = live.pop((i, j), None)
+        if l is None:
+            continue
         ldeg = kernel.mono_deg(l)
         if ldeg > budget.maxdeg:
             raise BudgetError(
@@ -226,32 +275,10 @@ def _buchberger(gens, order, p, rank1, budget):
                 "S-pair budget exceeded (%d pairs)" % budget.maxpairs,
                 detail={"pair": (i, j)},
             )
-        if rank1 and kernel.mono_mul(mi, mj) == l:
-            continue  # product criterion: coprime leads
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            (mk, pk), _ = G[k][0]
-            if pk != pi or not kernel.mono_divides(mk, l):
-                continue
-            lik = kernel.mono_lcm(mi, mk)
-            ljk = kernel.mono_lcm(mj, mk)
-            if lik == l or ljk == l:
-                continue  # strictness keeps the chain criterion acyclic
-            a = (i, k) if i < k else (k, i)
-            b = (j, k) if j < k else (k, j)
-            if a in done and b in done:
-                skip = True
-                break
-        if skip:
-            continue
         sp = kernel.spair_vec(G[i], G[j], order, p)
         h = kernel.nf_vec(sp, G, order, p)
         if h:
-            G.append(kernel.monic_vec(h, p))
-            sugar.append(max(s, _vec_sugar(h)))
-            push_pairs(len(G) - 1)
+            join(kernel.monic_vec(h, p), max(s, _vec_sugar(h)))
 
     # minimalize: keep only leads not divisible by another kept lead
     order_key = lambda v: kernel.term_sortkey(v[0][0], order)
@@ -463,18 +490,26 @@ def syzygy_basis(basis: SubmoduleBasis, budget: Optional[Budget] = None) -> Subm
     )
 
 
+def _aux_elimination_order(ctx):
+    """Order on ctx's variables with one auxiliary variable prepended
+    at index 0: the auxiliary variable alone as the greatest block, then
+    ctx's default blocks shifted by one.  (ctx.prepend_vars would put it
+    into the inverse block, whose default order does not eliminate it
+    once ctx has adjoined inverses.)"""
+    blocks = tuple(tuple(i + 1 for i in blk) for blk in ctx.default_blocks())
+    return (((0,),) + blocks, 0, ())
+
+
 def submodule_intersect(b1: SubmoduleBasis, b2: SubmoduleBasis, budget: Optional[Budget] = None) -> SubmoduleBasis:
     """N1 cap N2 by the auxiliary-variable elimination construction."""
     if b1.context != b2.context or b1.rank != b2.rank or b1.ring_rels != b2.ring_rels:
         raise ValueError("intersection needs matching ring, rank and relations")
     ctx = b1.context
     budget = budget or default_budget()
-    name = ctx.fresh_name("w")
-    ext = ctx.prepend_vars([name])
     p = ctx.p
-    one = kernel.mono_one(ext.nvars)
-    u = tuple(1 if i == 0 else 0 for i in range(ext.nvars))
-    ext_order = TOP_GREVLEX.descriptor(ext)
+    one = kernel.mono_one(ctx.nvars + 1)
+    u = (1,) + (0,) * ctx.nvars
+    ext_order = _aux_elimination_order(ctx)
     gens = []
     for v in b1.gens:
         gens.append(kernel.scale_vec(_lift_prepend(v, 1), ctx.field.one, u, p))
@@ -548,11 +583,9 @@ def saturate_rabinowitsch(basis: SubmoduleBasis, f: Polynomial, budget: Optional
     ctx = basis.context
     budget = budget or default_budget()
     p = ctx.p
-    name = ctx.fresh_name("w")
-    ext = ctx.prepend_vars([name])
-    ext_order = TOP_GREVLEX.descriptor(ext)
-    one = kernel.mono_one(ext.nvars)
-    u = tuple(1 if i == 0 else 0 for i in range(ext.nvars))
+    ext_order = _aux_elimination_order(ctx)
+    one = kernel.mono_one(ctx.nvars + 1)
+    u = (1,) + (0,) * ctx.nvars
     uf_minus_1 = kernel.add_vec(
         kernel.scale_vec(_lift_prepend(tuple(((m, 0), c) for (m, _), c in f.terms), 1), ctx.field.one, u, p),
         (((one, 0), -ctx.field.one if p == 0 else p - 1),),

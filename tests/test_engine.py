@@ -1,6 +1,9 @@
 """Engine checks against values frozen from the brute-force oracle, plus
 structural properties (determinism, order invariance, budgets)."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from formalpatch import engine, kernel
@@ -26,7 +29,7 @@ from formalpatch.engine import (
 )
 from formalpatch.fields import QQ, PrimeField
 from formalpatch.instance import bundled_path, load_instance
-from formalpatch.poly import LEX, MonomialOrder, PolyContext, parse_poly
+from formalpatch.poly import LEX, MonomialOrder, PolyContext, Polynomial, parse_poly
 
 try:
     from hypothesis import given, settings
@@ -265,6 +268,20 @@ def test_groebner_run_count_gate(monkeypatch, capsys):
     assert 0 < len(runs) <= 180
 
 
+def test_spair_count_gate(monkeypatch, capsys):
+    calls = []
+    real = kernel.spair_vec
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "spair_vec", counted)
+    assert main(["solve", "a2-ideal-xy", "--depth", "4"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 900
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("FORMALPATCH_BUDGET", "7:123")
     assert Budget.from_env() == Budget(7, 123)
@@ -289,6 +306,124 @@ def test_nf_is_idempotent():
     v = vec_of_polys([p("x^3*y^2 - x + 5")])
     r = b.nf(v)
     assert b.nf(r) == r
+
+
+F32003 = PrimeField(32003)
+
+
+def random_poly(rng, ctx, nterms, maxexp):
+    terms = [
+        ((tuple(rng.randrange(0, maxexp + 1) for _ in range(ctx.nvars)), 0), rng.randrange(1, 32003))
+        for _ in range(nterms)
+    ]
+    return Polynomial(ctx, terms)
+
+
+def test_intersection_over_localized_context_contains_product():
+    # u is an adjoined inverse: the auxiliary variable of the
+    # intersection must still be eliminated on its own
+    ctx = PolyContext(F32003, ("u", "x", "y"), None, 1)
+    rng = random.Random("localized-intersection")
+    for _ in range(40):
+        a = random_poly(rng, ctx, rng.randrange(1, 4), 2)
+        b = random_poly(rng, ctx, rng.randrange(1, 4), 2)
+        if a.is_zero or b.is_zero:
+            continue
+        cap = submodule_intersect(
+            submodule([vec_of_polys([a])], ctx, 1), submodule([vec_of_polys([b])], ctx, 1)
+        )
+        assert cap.contains(vec_of_polys([a * b]))
+
+
+def test_rabinowitsch_matches_iterated_colon_over_localized_context():
+    ctx = PolyContext(F32003, ("u", "x", "y"), None, 1)
+    for k in range(200):
+        rng = random.Random("loc-sat:%d" % k)
+        gens = [random_poly(rng, ctx, rng.randrange(1, 4), 2) for _ in range(2)]
+        f = random_poly(rng, ctx, rng.randrange(1, 3), 1)
+        if f.is_zero:
+            continue
+        N = submodule([vec_of_polys([g]) for g in gens], ctx, 1)
+        assert saturate_rabinowitsch(N, f).gens == saturate(N, f)[0].gens
+
+
+def reference_buchberger(gens, order, p):
+    """Buchberger with no pair criteria: every S-pair of two leads in
+    one position is reduced, in first-in first-out order; the result is
+    minimalized and interreduced.  Kept as the reference for the pair
+    update of engine._buchberger.  Returns (reduced basis, pairs
+    reduced)."""
+    G = list(gens)
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+    reduced = 0
+    while pairs:
+        i, j = pairs.pop(0)
+        if G[i][0][0][1] != G[j][0][0][1]:
+            continue
+        reduced += 1
+        h = kernel.nf_vec(kernel.spair_vec(G[i], G[j], order, p), G, order, p)
+        if h:
+            pairs += [(k, len(G)) for k in range(len(G))]
+            G.append(kernel.monic_vec(h, p))
+
+    def redundant(k):
+        (mg, pg), _ = G[k][0]
+        for k2, h in enumerate(G):
+            (mh, ph), _ = h[0]
+            if k2 != k and ph == pg and kernel.mono_divides(mh, mg) and (mh != mg or k2 < k):
+                return True
+        return False
+
+    minimal = [g for k, g in enumerate(G) if not redundant(k)]
+    out = []
+    for k, g in enumerate(minimal):
+        rest = minimal[:k] + minimal[k + 1:]
+        out.append(kernel.monic_vec(kernel.nf_vec(g, rest, order, p), p))
+    out.sort(key=lambda g: kernel.term_sortkey(g[0][0], order), reverse=True)
+    return tuple(out), reduced
+
+
+# Three variables, positions 0..2.
+GB_ORDERS = {
+    "grevlex": (((0, 1, 2),), 0, ()),
+    "elimination": (((0,), (1, 2)), 0, ()),
+    "lex": (((0,), (1,), (2,)), 0, ()),
+    "pot": (((0, 1, 2),), 1, ()),
+    "grouped": (((0, 1, 2),), 0, (0, 0, 1)),
+}
+
+
+def random_gens(rng, p, order, rank):
+    def coeff():
+        if p:
+            return rng.randrange(1, p)
+        return Fraction(rng.choice([-1, 1]) * rng.randrange(1, 5), rng.randrange(1, 3))
+
+    gens = []
+    for _ in range(rng.randrange(2, 5)):
+        pairs = [
+            ((tuple(rng.randrange(0, 3) for _ in range(3)), rng.randrange(rank)), coeff())
+            for _ in range(rng.randrange(1, 4))
+        ]
+        gens.append(kernel.canon_vec(pairs, order, p))
+    return gens
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("p", [0, 7, 32003])
+@pytest.mark.parametrize("name", sorted(GB_ORDERS))
+def test_pair_criteria_match_criterion_free_buchberger(name, p, rank):
+    order = GB_ORDERS[name]
+    rng = random.Random("criteria:%s:%d:%d" % (name, p, rank))
+    popped = reference = 0
+    for _ in range(8):
+        gens = engine._monic_gens(random_gens(rng, p, order, rank), order, p)
+        basis, use = engine._buchberger(gens, order, p, rank == 1, Budget())
+        expected, reduced = reference_buchberger(gens, order, p)
+        assert basis == expected
+        popped += use[1]
+        reference += reduced
+    assert popped < reference  # the criteria do drop pairs
 
 
 if HAVE_HYPOTHESIS:
