@@ -135,6 +135,8 @@ def term_sortkey(term, order):
 
 
 def coeff_inv(c, p):
+    if c == 1:
+        return c
     if p == 0:
         return 1 / c
     return pow(c, p - 2, p)
@@ -300,7 +302,7 @@ def nf_vec(u, basis, order, p):
             heap = [(key(t), t) for t in acc]
             heapify(heap)
         q = mono_div(tm, gm)
-        factor = -tc * coeff_inv(gc, p)
+        factor = -tc if gc == 1 else -tc * coeff_inv(gc, p)
         if p:
             factor %= p
         for (m, pos), c in g[1:]:
@@ -323,16 +325,33 @@ def nf_vec(u, basis, order, p):
     return tuple(done)
 
 
+def _scaled_tail(u, mono, coeff, p, negate):
+    """coeff * mono * u[1:], negated when `negate`; the product with a
+    unit coefficient is skipped."""
+    out = []
+    for (m, pos), c in u[1:]:
+        if coeff != 1:
+            c = coeff * c
+            if p:
+                c %= p
+                if c == 0:
+                    continue
+        if negate:
+            c = p - c if p else -c
+        out.append(((mono_mul(mono, m), pos), c))
+    return tuple(out)
+
+
 def spair_vec(f, g, order, p):
-    """S-vector of f and g; leads must sit in the same position."""
+    """S-vector of f and g; leads must sit in the same position.  The
+    scaled leads cancel exactly, so only the tails are formed, f's
+    scaled by 1/lc(f) and g's by -1/lc(g), and merged."""
     (mf, pf), cf = f[0]
     (mg, pg), cg = g[0]
     l = mono_lcm(mf, mg)
-    uf = mono_div(l, mf)
-    ug = mono_div(l, mg)
-    a = scale_vec(f, coeff_inv(cf, p), uf, p)
-    b = scale_vec(g, coeff_inv(cg, p), ug, p)
-    return add_vec(a, neg_vec(b, p), order, p)
+    a = _scaled_tail(f, mono_div(l, mf), coeff_inv(cf, p), p, False)
+    b = _scaled_tail(g, mono_div(l, mg), coeff_inv(cg, p), p, True)
+    return add_vec(a, b, order, p)
 
 
 BACKEND = "python"

@@ -16,6 +16,9 @@ as each element joins the basis, criteria M and F, the product criterion
 (ideal case only) and criterion B_k drop pairs whose S-vectors would
 reduce to zero, and older elements whose lead the new one divides form
 no further pairs.  Only the pairs that survive are reduced and counted.
+A run may start from a reduced basis it extends (SubmoduleBasis.extend,
+syzygy_project over a SubmoduleBasis); that basis forms no pairs of its
+own.
 
 Every Groebner run goes through the basis cache of its PolyContext
 (shared by the contexts derived with prepend_vars / drop_prefix), so a
@@ -183,7 +186,7 @@ def _fits(use, budget):
     return use[0] <= budget.maxdeg and use[1] <= budget.maxpairs
 
 
-def _buchberger(gens, order, p, rank1, budget):
+def _buchberger(gens, order, p, rank1, budget, known=0):
     """Sugar-strategy Buchberger over canonical monic nonzero `gens`
     (_monic_gens), with the pair update of Gebauer and Moeller applied
     as each element t (input or new) joins G:
@@ -200,69 +203,73 @@ def _buchberger(gens, order, p, rank1, budget):
     Dropped pairs leave the sugar heap lazily: `live` holds the queued
     pairs that are still wanted.
 
+    The first `known` gens must be a reduced Groebner basis under
+    `order`: they join G without pairs among themselves, whose
+    S-vectors reduce to zero against them.
+
     Returns (basis, use): the unique reduced basis, leads descending,
     monic; and (largest S-pair lcm degree, pairs reduced), both over the
     pairs that survive the update, the least budget under which this
     run completes."""
     G = []
     leads = []  # (monomial, position) of each G[k]
+    keys = []  # term_sortkey of each lead
     sugar = []
     heap = []
-    live = {}  # queued pair (i, j) -> its lcm
-    active = []  # elements that still form pairs
+    live = {}  # position -> {queued pair (i, j): its lcm}
+    active = {}  # position -> elements that still form pairs
     counter = 0
     topdeg = 0
+    divides, lcm, deg = kernel.mono_divides, kernel.mono_lcm, kernel.mono_deg
+
+    def add(g, s):
+        G.append(g)
+        leads.append(g[0][0])
+        keys.append(kernel.term_sortkey(g[0][0], order))
+        sugar.append(s)
 
     def update(t):
         mt, pt = leads[t]
-        for (i, j), l in list(live.items()):
-            if (leads[i][1] == pt and kernel.mono_divides(mt, l)
-                    and kernel.mono_lcm(leads[i][0], mt) != l
-                    and kernel.mono_lcm(leads[j][0], mt) != l):
-                del live[i, j]
+        queued = live.setdefault(pt, {})
+        for (i, j), l in list(queued.items()):
+            if divides(mt, l) and lcm(leads[i][0], mt) != l and lcm(leads[j][0], mt) != l:
+                del queued[i, j]
+        act = active.setdefault(pt, [])
         new = []
-        for i in active:
-            mi, pi = leads[i]
-            if pi == pt:
-                l = kernel.mono_lcm(mi, mt)
-                new.append((i, l, rank1 and kernel.mono_mul(mi, mt) == l))
+        for i in act:
+            mi = leads[i][0]
+            l = lcm(mi, mt)
+            new.append((i, l, rank1 and kernel.mono_mul(mi, mt) == l))
+        lcms = [l for _, l, _ in new]
         kept_lcms = []  # of the new pairs kept so far, coprime ones included
         for k, (i, l, coprime) in enumerate(new):
-            if not coprime and any(
-                kernel.mono_divides(l2, l) for l2 in kept_lcms + [n[1] for n in new[k + 1:]]
+            if not coprime and (
+                any(divides(l2, l) for l2 in kept_lcms)
+                or any(divides(l2, l) for l2 in lcms[k + 1:])
             ):
                 continue
             kept_lcms.append(l)
             if coprime:
                 continue
-            mi = leads[i][0]
-            s = max(
-                sugar[i] + kernel.mono_deg(l) - kernel.mono_deg(mi),
-                sugar[t] + kernel.mono_deg(l) - kernel.mono_deg(mt),
-            )
-            live[i, t] = l
+            s = max(sugar[i] + deg(l) - deg(leads[i][0]), sugar[t] + deg(l) - deg(mt))
+            queued[i, t] = l
             heapq.heappush(heap, (s, kernel.term_sortkey((l, pt), order), i, t))
-        active[:] = [
-            i for i in active
-            if not (leads[i][1] == pt and kernel.mono_divides(mt, leads[i][0]))
-        ]
-        active.append(t)
+        act[:] = [i for i in act if not divides(mt, leads[i][0])]
+        act.append(t)
 
-    def join(g, s):
-        G.append(g)
-        leads.append(g[0][0])
-        sugar.append(s)
+    for g in gens[:known]:
+        add(g, _vec_sugar(g))
+        active.setdefault(leads[-1][1], []).append(len(G) - 1)
+    for g in gens[known:]:
+        add(g, _vec_sugar(g))
         update(len(G) - 1)
-
-    for g in gens:
-        join(g, _vec_sugar(g))
 
     while heap:
         s, _, i, j = heapq.heappop(heap)
-        l = live.pop((i, j), None)
+        l = live[leads[i][1]].pop((i, j), None)
         if l is None:
             continue
-        ldeg = kernel.mono_deg(l)
+        ldeg = deg(l)
         if ldeg > budget.maxdeg:
             raise BudgetError(
                 "degree budget exceeded (S-pair lcm degree %d > %d)" % (ldeg, budget.maxdeg),
@@ -278,37 +285,34 @@ def _buchberger(gens, order, p, rank1, budget):
         sp = kernel.spair_vec(G[i], G[j], order, p)
         h = kernel.nf_vec(sp, G, order, p)
         if h:
-            join(kernel.monic_vec(h, p), max(s, _vec_sugar(h)))
+            add(kernel.monic_vec(h, p), max(s, _vec_sugar(h)))
+            update(len(G) - 1)
 
     # minimalize: keep only leads not divisible by another kept lead
-    order_key = lambda v: kernel.term_sortkey(v[0][0], order)
     kept = []
-    for g in sorted(G, key=order_key):
-        (mg, pg), _ = g[0]
-        ok = True
-        for h in kept:
-            (mh, ph), _ = h[0]
-            if ph == pg and kernel.mono_divides(mh, mg):
-                ok = False
-                break
-        if ok:
-            kept.append(g)
-    # interreduce tails
-    reduced = list(kept)
+    for k in sorted(range(len(G)), key=keys.__getitem__):
+        mg, pg = leads[k]
+        if not any(leads[h][1] == pg and divides(leads[h][0], mg) for h in kept):
+            kept.append(k)
+    kept.sort(key=keys.__getitem__, reverse=True)
+    # interreduce tails; leads stay put
+    reduced = [G[k] for k in kept]
     for idx in range(len(reduced)):
         rest = reduced[:idx] + reduced[idx + 1 :]
         reduced[idx] = kernel.monic_vec(kernel.nf_vec(reduced[idx], rest, order, p), p)
-    reduced.sort(key=order_key, reverse=True)
     return tuple(reduced), (topdeg, counter)
 
 
-def _cached_basis(context, gens, order, rank1, budget):
-    """(basis, use) of `gens` through the context's basis cache; the key
-    is the ordered canonical input, so a rerun replays the same pairs."""
-    key = (_monic_gens(gens, order, context.p), order, rank1)
+def _cached_basis(context, gens, order, rank1, budget, known=0):
+    """(basis, use) of `gens` through the context's basis cache; the
+    first `known` gens are a reduced basis (see _buchberger), taken as
+    they are.  The key is the ordered canonical input, so a rerun
+    replays the same pairs."""
+    gens = tuple(gens)
+    key = (gens[:known] + _monic_gens(gens[known:], order, context.p), order, rank1, known)
     hit = context._cache.get(key)
     if hit is None or not _fits(hit[1], budget):
-        hit = context._cache[key] = _buchberger(key[0], order, context.p, rank1, budget)
+        hit = context._cache[key] = _buchberger(key[0], order, context.p, rank1, budget, known)
     return hit
 
 
@@ -335,6 +339,16 @@ class SubmoduleBasis:
 
     def contains(self, vec) -> bool:
         return not self.nf(vec)
+
+    def extend(self, vecs, budget: Optional[Budget] = None) -> "SubmoduleBasis":
+        """The submodule plus the span of `vecs`, over the same ring and
+        order; this basis seeds the Groebner run, so only pairs with the
+        new vectors and what they produce are reduced."""
+        gens, _ = _cached_basis(
+            self.context, self.gens + tuple(vecs), self.order, self.rank == 1,
+            budget or default_budget(), len(self.gens),
+        )
+        return SubmoduleBasis(self.context, self.rank, self.order, self.ring_rels, gens)
 
     def contains_basis(self, other: "SubmoduleBasis") -> bool:
         return all(self.contains(g) for g in other.gens)
@@ -446,39 +460,58 @@ def syzygy_project(
     a submodule of R^len(main) over the presented ring.
 
     The workhorse behind syzygies, colons, module quotients and the
-    fiber-product kernel: syzygies of main+aux+relation rows are
-    computed with an extended position-elimination order and projected
-    onto the main coordinates.  Only the projected basis is cached, with
-    the larger use of its two runs; the extended basis is not kept.
+    fiber-product kernel.  Each main_i is tagged with a unit vector in
+    a new coordinate; a basis of the tagged main vectors, aux and the
+    relation rows under a position-elimination order (the rank
+    coordinates above the tags) has, among its elements, a basis of the
+    wanted submodule: those with no term outside the tags.  When
+    `order` groups no positions, these elements are already its reduced
+    basis under `order`; otherwise they are reduced once more.
+
+    `aux` is a sequence of vecs or a SubmoduleBasis over the same ring,
+    rank, order and relations; a basis is used as it is, as the seed of
+    the run (see _buchberger), and its span already holds the relation
+    rows.  Only the projected basis is cached, with the larger use of
+    its runs; the extended basis is not kept.
     """
     order = order if order is not None else TOP_GREVLEX.descriptor(context)
     budget = budget or default_budget()
     p = context.p
-    main = tuple(kernel.canon_vec(v, order, p) for v in main)
-    aux = tuple(kernel.canon_vec(v, order, p) for v in aux)
     ring_rels = tuple(ring_rels)
+    seeded = isinstance(aux, SubmoduleBasis)
+    if seeded:
+        if (aux.context, aux.rank, aux.order, aux.ring_rels) != (context, rank, order, ring_rels):
+            raise ValueError("aux basis must share the ring, rank, order and relations")
+        aux = aux.gens
+    else:
+        aux = tuple(kernel.canon_vec(v, order, p) for v in aux)
+    main = tuple(kernel.canon_vec(v, order, p) for v in main)
     nmain = len(main)
-    key = ("syzygy", main, aux, ring_rels, rank, order)
+    key = ("syzygy", main, aux, seeded, ring_rels, rank, order)
     hit = context._cache.get(key)
     if hit is None or not _fits(hit[1], budget):
-        full = list(main) + list(aux) + _relation_rows(ring_rels, rank)
-        k = len(full)
         one = kernel.mono_one(context.nvars)
-        ext = []
-        for i, v in enumerate(full):
-            ext.append(v + (((one, rank + i), context.field.one),))
-        posgroup = (0,) * rank + (1,) * k
+        tagged = [v + (((one, rank + i), context.field.one),) for i, v in enumerate(main)]
+        posgroup = (0,) * rank + (1,) * nmain
         ext_order = (order[0], order[1], posgroup)
-        gb, ext_use = _buchberger(_monic_gens(ext, ext_order, p), ext_order, p, False, budget)
-        projected = []
-        for g in gb:
-            if any(pos < rank for (_, pos), _ in g):
-                continue
-            proj = tuple(((m, pos - rank), c) for (m, pos), c in g if pos - rank < nmain)
-            projected.append(proj)
-        projected += _relation_rows(ring_rels, nmain)
-        gens, use = _cached_basis(context, projected, order, nmain == 1, budget)
-        hit = context._cache[key] = gens, tuple(map(max, ext_use, use))
+        # aux is a reduced basis under ext_order too when order groups
+        # no positions, for then the two agree on the rank coordinates
+        if seeded and not order[2]:
+            seed = aux
+            gens = seed + _monic_gens(tagged, ext_order, p)
+        else:
+            seed = ()
+            gens = _monic_gens(tagged + list(aux) + _relation_rows(ring_rels, rank), ext_order, p)
+        gb, use = _buchberger(gens, ext_order, p, False, budget, len(seed))
+        projected = tuple(
+            tuple(((m, pos - rank), c) for (m, pos), c in g) for g in gb if g[0][0][1] >= rank
+        )
+        if order[2]:
+            projected, use2 = _cached_basis(
+                context, projected + tuple(_relation_rows(ring_rels, nmain)), order, nmain == 1, budget
+            )
+            use = tuple(map(max, use, use2))
+        hit = context._cache[key] = projected, use
     return SubmoduleBasis(context, nmain, order, ring_rels, hit[0])
 
 
@@ -500,6 +533,19 @@ def _aux_elimination_order(ctx):
     return (((0,),) + blocks, 0, ())
 
 
+def _aux_contraction(gb, like, budget):
+    """The elements of a reduced basis `gb` under _aux_elimination_order
+    that are free of the auxiliary variable, stripped of it, as a basis
+    over like's ring, rank and order.  They are that reduced basis
+    already when like's order is the default one, which the elimination
+    order restricts to."""
+    ctx = like.context
+    kept = tuple(_strip_prefix(g, 1) for g in gb if not _uses_prefix(g, 1))
+    if like.order == TOP_GREVLEX.descriptor(ctx):
+        return SubmoduleBasis(ctx, like.rank, like.order, like.ring_rels, kept)
+    return submodule(kept, ctx, like.rank, like.ring_rels, like.order, budget)
+
+
 def submodule_intersect(b1: SubmoduleBasis, b2: SubmoduleBasis, budget: Optional[Budget] = None) -> SubmoduleBasis:
     """N1 cap N2 by the auxiliary-variable elimination construction."""
     if b1.context != b2.context or b1.rank != b2.rank or b1.ring_rels != b2.ring_rels:
@@ -519,8 +565,7 @@ def submodule_intersect(b1: SubmoduleBasis, b2: SubmoduleBasis, budget: Optional
     for row in _relation_rows(b1.ring_rels, b1.rank):
         gens.append(_lift_prepend(row, 1))
     gb, _ = _cached_basis(ctx, gens, ext_order, b1.rank == 1, budget)
-    kept = [_strip_prefix(g, 1) for g in gb if not _uses_prefix(g, 1)]
-    return submodule(kept, ctx, b1.rank, b1.ring_rels, b1.order, budget)
+    return _aux_contraction(gb, b1, budget)
 
 
 def colon_element(basis: SubmoduleBasis, m_vec, budget: Optional[Budget] = None) -> SubmoduleBasis:
@@ -528,7 +573,7 @@ def colon_element(basis: SubmoduleBasis, m_vec, budget: Optional[Budget] = None)
     submodule (relation rows only)."""
     return syzygy_project(
         [kernel.canon_vec(m_vec, basis.order, basis.context.p)],
-        basis.gens,
+        basis,
         basis.context,
         basis.rank,
         basis.ring_rels,
@@ -560,7 +605,7 @@ def module_quotient(basis: SubmoduleBasis, f: Polynomial, budget: Optional[Budge
     for j in range(basis.rank):
         main.append(tuple(((m, j), c) for (m, _), c in f.terms))
     return syzygy_project(
-        main, basis.gens, basis.context, basis.rank, basis.ring_rels, basis.order, budget
+        main, basis, basis.context, basis.rank, basis.ring_rels, basis.order, budget
     )
 
 
@@ -596,8 +641,7 @@ def saturate_rabinowitsch(basis: SubmoduleBasis, f: Polynomial, budget: Optional
     for j in range(basis.rank):
         gens.append(tuple(((m, j), c) for (m, _), c in uf_minus_1))
     gb, _ = _cached_basis(ctx, gens, ext_order, basis.rank == 1, budget)
-    kept = [_strip_prefix(g, 1) for g in gb if not _uses_prefix(g, 1)]
-    return submodule(kept, ctx, basis.rank, basis.ring_rels, basis.order, budget)
+    return _aux_contraction(gb, basis, budget)
 
 
 def eliminate(basis: SubmoduleBasis, var_names, budget: Optional[Budget] = None) -> SubmoduleBasis:

@@ -244,9 +244,7 @@ class PatchProblem:
         main = [self.difference(unit_vec(ctx, k), D, (), D) for k in range(self.g1)]
         main += [self.difference((), D, unit_vec(ctx, k), D) for k in range(self.g2)]
         R = self.ring_at(level)
-        return syzygy_project(
-            main, self.satrel(0, level).gens, ctx, self.g0, ring_rels=R.rels_vecs
-        )
+        return syzygy_project(main, self.satrel(0, level), ctx, self.g0, ring_rels=R.rels_vecs)
 
     def scale_pair_into(self, vec, s: int):
         """(a, b) -> (f1^s a, f2^s b), the denominator-D to D+s embedding."""
@@ -264,14 +262,7 @@ class PatchProblem:
         return _join_pair(a2, b2, self.g1)
 
     def span_with_zero_pairs(self, pair_vecs, level: Optional[int]) -> SubmoduleBasis:
-        R = self.ring_at(level)
-        Z = self.zero_pairs(level)
-        return submodule(
-            list(pair_vecs) + list(Z.gens),
-            self.base.context,
-            self.g1 + self.g2,
-            ring_rels=R.rels_vecs,
-        )
+        return self.zero_pairs(level).extend(pair_vecs)
 
     def sections_at(self, level: Optional[int], D: int):
         """A minimal list of kernel elements generating the sections:
@@ -291,15 +282,12 @@ class PatchProblem:
         return remaining
 
 
-def _unreached_generator(problem, rows, rel, f, level):
+def _unreached_generator(problem, rows, rel, f):
     """Index of the first unit vector outside the span of `rows` and
-    the relation basis `rel`, saturated at f over level `level`'s ring;
-    None when the rows generate everything after inverting f."""
+    the relation basis `rel`, saturated at f over rel's ring; None when
+    the rows generate everything after inverting f."""
     ctx = problem.base.context
-    span = submodule(
-        list(rows) + list(rel.gens), ctx, rel.rank, ring_rels=problem.ring_at(level).rels_vecs
-    )
-    span = saturate(span, f)[0]
+    span = saturate(rel.extend(rows), f)[0]
     return next((k for k in range(rel.rank) if not span.contains(unit_vec(ctx, k))), None)
 
 
@@ -321,9 +309,7 @@ def _torsion_records(problem, satrels_by_level, label, pool):
             ti_rows = []
             for k in range(g):
                 ti_rows.append(tuple(((m, k), c) for (m, _), c in (t**i).terms))
-            rhs = submodule(
-                ti_rows + list(Snext.gens), ctx, g, ring_rels=Snext.ring_rels
-            )
+            rhs = Snext.extend(ti_rows)
             ok = lhs.gens == rhs.gens
             records.append(Check(label + "-t-regularity", i, "PASS" if ok else "FAIL"))
         Q = _torsion_closure(S, pool)
@@ -381,7 +367,7 @@ def pose_problem(config, module1, module2, module0, alpha1_matrix, alpha2_matrix
                     )
             # surjectivity after inverting f0: every M_0 generator hit
             alpha_rows = [problem._alpha_image(e, unit_vec(ctx, k)) for k in range(g)]
-            k = _unreached_generator(problem, alpha_rows, S0, f0, i)
+            k = _unreached_generator(problem, alpha_rows, S0, f0)
             if k is not None:
                 raise PatchError(
                     "alpha%d not surjective at level %s: generator %d of M_0 unreachable"
@@ -389,9 +375,7 @@ def pose_problem(config, module1, module2, module0, alpha1_matrix, alpha2_matrix
                     witness="generator %d" % (k + 1),
                 )
             # injectivity: kernel of the alpha map lies in M_e's relations
-            K = syzygy_project(
-                alpha_rows, S0.gens, ctx, g0, ring_rels=problem.ring_at(i).rels_vecs
-            )
+            K = syzygy_project(alpha_rows, S0, ctx, g0, ring_rels=problem.ring_at(i).rels_vecs)
             Se_ext = saturate(problem.satrel(e, i), f0)[0]
             for gv in K.gens:
                 if not Se_ext.contains(gv):
@@ -550,7 +534,7 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
         if sections:
             ker = syzygy_project(
                 sections,
-                problem.zero_pairs(i).gens,
+                problem.zero_pairs(i),
                 ctx,
                 problem.g1 + problem.g2,
                 ring_rels=problem.ring_at(i).rels_vecs,
@@ -596,7 +580,7 @@ def _pair_presentation(problem, pairs) -> PresModule:
         return PresModule.make(base, 1, [vec_of_polys([Polynomial.one(base.context)])])
     rel = syzygy_project(
         pairs,
-        problem.zero_pairs(None).gens,
+        problem.zero_pairs(None),
         base.context,
         problem.g1 + problem.g2,
         ring_rels=base.rels_vecs,
@@ -615,7 +599,7 @@ def certify_solution(problem: PatchProblem, candidate_sections) -> list:
     for i in range(1, cfg.depth + 1):
         for e, f in ((1, cfg.f1), (2, cfg.f2)):
             parts = [s[0] if e == 1 else s[2] for s in candidate_sections]
-            k = _unreached_generator(problem, parts, problem.satrel(e, i), f, i)
+            k = _unreached_generator(problem, parts, problem.satrel(e, i), f)
             records.append(
                 Check("gamma-span-m%d" % e, i, "PASS" if k is None else "FAIL",
                       "" if k is None else "generator %d not reached" % (k + 1))

@@ -65,12 +65,7 @@ class PresModule:
     def span(self, vecs) -> SubmoduleBasis:
         """Basis (in ambient coordinates, relations included) of the
         submodule generated by the given elements."""
-        return submodule(
-            list(vecs) + list(self.rel.gens),
-            self.context,
-            self.g,
-            ring_rels=self.ring.rels_vecs,
-        )
+        return self.rel.extend(vecs)
 
     def unit_vec(self, k: int):
         return unit_vec(self.context, k)

@@ -426,6 +426,152 @@ def test_pair_criteria_match_criterion_free_buchberger(name, p, rank):
     assert popped < reference  # the criteria do drop pairs
 
 
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("p", [0, 7, 32003])
+@pytest.mark.parametrize("name", sorted(GB_ORDERS))
+def test_seeded_buchberger_matches_unseeded_run(name, p, rank):
+    # a reduced basis as the first `known` inputs forms no pairs of its
+    # own; the unseeded run is checked against reference_buchberger above
+    order = GB_ORDERS[name]
+    rng = random.Random("seeded:%s:%d:%d" % (name, p, rank))
+    for _ in range(8):
+        seed, _ = engine._buchberger(
+            engine._monic_gens(random_gens(rng, p, order, rank), order, p), order, p, rank == 1, Budget()
+        )
+        gens = seed + engine._monic_gens(random_gens(rng, p, order, rank), order, p)
+        basis, _ = engine._buchberger(gens, order, p, rank == 1, Budget(), len(seed))
+        expected, _ = engine._buchberger(gens, order, p, rank == 1, Budget())
+        assert basis == expected
+
+
+def _ring(p, rels=()):
+    field = PrimeField(p) if p else QQ
+    ctx = PolyContext(field, ["x", "y", "z"])
+    return ctx, tuple(vec_of_polys([parse_poly(r, ctx)]) for r in rels)
+
+
+@pytest.mark.parametrize("rels", [(), ("x*z - y^2",)])
+@pytest.mark.parametrize("p", [0, 7, 32003])
+@pytest.mark.parametrize("name", sorted(GB_ORDERS))
+def test_extend_matches_basis_of_the_union(name, p, rels):
+    order = GB_ORDERS[name]
+    ctx, ring_rels = _ring(p, rels)
+    for rank in (1, 2):
+        rng = random.Random("extend:%s:%d:%r:%d" % (name, p, rels, rank))
+        for _ in range(4):
+            first = random_gens(rng, p, order, rank)
+            more = random_gens(rng, p, order, rank)
+            base = submodule(first, ctx, rank, ring_rels, order)
+            union = submodule(first + more, ctx, rank, ring_rels, order)
+            assert base.extend(more).gens == union.gens
+
+
+def small_gens(rng, p, order, rank):
+    """Two vecs of one or two terms, exponents at most 2: syzygy inputs
+    whose extended bases stay small under every order of GB_ORDERS."""
+    gens = []
+    for _ in range(2):
+        pairs = [
+            ((tuple(rng.randrange(0, 3) for _ in range(3)), rng.randrange(rank)),
+             rng.randrange(1, p) if p else Fraction(rng.randrange(1, 5), rng.randrange(1, 3)))
+            for _ in range(rng.randrange(1, 3))
+        ]
+        gens.append(kernel.canon_vec(pairs, order, p))
+    return gens
+
+
+def reference_syzygy_project(main, aux, ctx, rank, ring_rels, order):
+    """{c : sum c_i main_i lies in span(aux) + relation rows} by the
+    textbook construction: every generator, aux and relation rows
+    included, gets a tag coordinate; the basis elements with no term
+    outside the tags are cut down to the main tags and reduced again
+    under `order`."""
+    p = ctx.p
+    full = list(main) + list(aux) + engine._relation_rows(ring_rels, rank)
+    one = kernel.mono_one(ctx.nvars)
+    ext = [v + (((one, rank + i), ctx.field.one),) for i, v in enumerate(full)]
+    ext_order = (order[0], order[1], (0,) * rank + (1,) * len(full))
+    gb, _ = engine._buchberger(engine._monic_gens(ext, ext_order, p), ext_order, p, False, Budget())
+    projected = [
+        tuple(((m, pos - rank), c) for (m, pos), c in g if pos - rank < len(main))
+        for g in gb
+        if g[0][0][1] >= rank
+    ]
+    return submodule(projected, ctx, len(main), ring_rels, order).gens
+
+
+# "split" puts position 0 above positions 1 and 2, in both the rank and
+# the main coordinates, so that neither the seed nor the projection is a
+# reduced basis under the extended order's grouping.
+SYZYGY_ORDERS = dict(GB_ORDERS, split=(((0, 1, 2),), 0, (0, 1, 1)))
+
+
+@pytest.mark.parametrize("rels", [(), ("x*z - y^2",)])
+@pytest.mark.parametrize("p", [0, 7, 32003])
+@pytest.mark.parametrize("name", sorted(SYZYGY_ORDERS))
+def test_syzygy_project_matches_tagging_every_generator(name, p, rels):
+    # main alone tagged, aux as vecs or as a seeding basis; the grouped
+    # orders take the route that reduces the projection again
+    order = SYZYGY_ORDERS[name]
+    ctx, ring_rels = _ring(p, rels)
+    for rank in (1, 2, 3):
+        rng = random.Random("syzygy:%s:%d:%r:%d" % (name, p, rels, rank))
+        for _ in range(4):
+            main = small_gens(rng, p, order, rank)
+            aux = submodule(small_gens(rng, p, order, rank), ctx, rank, ring_rels, order)
+            expected = reference_syzygy_project(main, aux.gens, ctx, rank, ring_rels, order)
+            plain = engine.syzygy_project(main, aux.gens, ctx, rank, ring_rels, order)
+            seeded = engine.syzygy_project(main, aux, ctx, rank, ring_rels, order)
+            assert plain.gens == expected
+            assert seeded.gens == expected
+
+
+def test_syzygy_project_rejects_a_foreign_aux_basis():
+    b = ideal(CTX, "x^2", "y")
+    with pytest.raises(ValueError):
+        engine.syzygy_project([vec_of_polys([p("x")])], b, CTX, 2)
+    with pytest.raises(ValueError):
+        engine.syzygy_project(
+            [vec_of_polys([p("x")])], b, CTX, 1, order=ModuleOrder(LEX).descriptor(CTX)
+        )
+
+
+@pytest.mark.parametrize("order", [None, ModuleOrder(LEX).descriptor(CTX_T)])
+def test_eliminations_return_reduced_bases(order):
+    # the auxiliary-variable-free part of the elimination basis is taken
+    # as it is under the default order and reduced again under any other
+    rng = random.Random("contraction:%r" % (order,))
+    for _ in range(20):
+        a, b, f = (
+            parse_poly("%d*x^%d*t + %d*t^%d - %d" % (
+                rng.randrange(1, 5), rng.randrange(3), rng.randrange(1, 5),
+                rng.randrange(3), rng.randrange(5)), CTX_T)
+            for _ in range(3)
+        )
+        A = submodule([vec_of_polys([a])], CTX_T, 1, order=order)
+        B = submodule([vec_of_polys([b])], CTX_T, 1, order=order)
+        for result in (submodule_intersect(A, B), saturate_rabinowitsch(A, f)):
+            assert result.order == A.order
+            again = submodule(list(result.gens), CTX_T, 1, order=A.order)
+            assert result.gens == again.gens
+        assert submodule_intersect(A, B).contains(vec_of_polys([a * b]))
+
+
+def test_seeded_syzygy_pair_gate(monkeypatch, capsys):
+    # colons, kernels and spans start from the reduced bases they extend
+    calls = []
+    real = kernel.spair_vec
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(kernel, "spair_vec", counted)
+    assert main(["repro", "two-planes"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 2000
+
+
 if HAVE_HYPOTHESIS:
 
     @st.composite

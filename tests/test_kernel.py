@@ -1,6 +1,8 @@
 """The pure kernel's heap-ordered reducer (`_kernel_py.nf_vec`) must
-return exactly what the merge-based reducer it replaced returns: the
-same terms in the same order, with the same coefficients."""
+return exactly what the merge-based reducer it replaced returns, and
+its S-vector (`_kernel_py.spair_vec`) exactly the sum of the two whole
+scaled vectors: the same terms in the same order, with the same
+coefficients."""
 
 import random
 from fractions import Fraction
@@ -135,3 +137,35 @@ def test_exponent_overflow_still_raises():
     g = (((1, 0), 0), 1), (((0, 1), 0), 1)
     with pytest.raises(OverflowError):
         kpy.nf_vec(u, [g], order, 7)
+
+
+def spair_vec_whole(f, g, order, p):
+    """The S-vector as the sum of both whole scaled vectors, the leads
+    cancelling in add_vec.  Kept as the reference."""
+    (mf, _), cf = f[0]
+    (mg, _), cg = g[0]
+    l = kpy.mono_lcm(mf, mg)
+    a = kpy.scale_vec(f, kpy.coeff_inv(cf, p), kpy.mono_div(l, mf), p)
+    b = kpy.scale_vec(g, kpy.coeff_inv(cg, p), kpy.mono_div(l, mg), p)
+    return kpy.add_vec(a, kpy.neg_vec(b, p), order, p)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("order", ORDERS)
+def test_spair_matches_sum_of_scaled_vectors(order, p, rank):
+    rng = random.Random("spair:%r:%d:%d" % (order, p, rank))
+    checked = 0
+    for _ in range(60):
+        f = random_vec(rng, p, order, rank, rng.randrange(1, 5), 3)
+        g = random_vec(rng, p, order, rank, rng.randrange(1, 5), 3)
+        if not f or not g or f[0][0][1] != g[0][0][1]:
+            continue
+        if rng.randrange(2):  # basis elements are monic
+            f, g = kpy.monic_vec(f, p), kpy.monic_vec(g, p)
+        got = kpy.spair_vec(f, g, order, p)
+        assert got == spair_vec_whole(f, g, order, p)
+        if p == 0:
+            assert all(type(c) is Fraction for _, c in got)
+        checked += 1
+    assert checked
