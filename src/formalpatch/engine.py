@@ -168,10 +168,6 @@ def _relation_rows(ring_rels, rank):
     return rows
 
 
-def _vec_sugar(v):
-    return max((kernel.mono_deg(m) for (m, _), _ in v), default=0)
-
-
 def _monic_gens(gens, order, p):
     """Canonical, monic forms of the nonzero `gens`, in input order."""
     out = []
@@ -207,66 +203,87 @@ def _buchberger(gens, order, p, rank1, budget, known=0):
     `order`: they join G without pairs among themselves, whose
     S-vectors reduce to zero against them.
 
+    The run works on packed terms (kernel.Layout): G's elements are
+    packed vecs, also held by one kernel.Reducer that grows with G, and
+    leads and lcms are packed exponents.  Only the result is unpacked.
+
     Returns (basis, use): the unique reduced basis, leads descending,
     monic; and (largest S-pair lcm degree, pairs reduced), both over the
     pairs that survive the update, the least budget under which this
     run completes."""
+    if not gens:
+        return (), (0, 0)
+    lay = kernel.layout(order, len(gens[0][0][0][0]))
+    R = kernel.Reducer(lay, p)
     G = []
-    leads = []  # (monomial, position) of each G[k]
-    keys = []  # term_sortkey of each lead
+    leads = []  # packed exponents of each G[k]'s lead
+    lpos = []  # position of each G[k]'s lead
+    keys = []  # sort key of each lead, ascending as term_sortkey
+    degs = []  # degree of each lead
     sugar = []
     heap = []
     live = {}  # position -> {queued pair (i, j): its lcm}
     active = {}  # position -> elements that still form pairs
     counter = 0
     topdeg = 0
-    divides, lcm, deg = kernel.mono_divides, kernel.mono_lcm, kernel.mono_deg
+    emask, guards = lay.emask, lay.guards
+    lcm, deg = lay.lcm, lay.deg
 
     def add(g, s):
         G.append(g)
-        leads.append(g[0][0])
-        keys.append(kernel.term_sortkey(g[0][0], order))
+        R.append(g)
+        t = g[0][0]
+        leads.append(t & emask)
+        lpos.append(lay.pos(t))
+        keys.append(lay.sortkey(t))
+        degs.append(deg(t & emask))
         sugar.append(s)
 
+    def vec_sugar(g):
+        return max(deg(t & emask) for t, _ in g)
+
     def update(t):
-        mt, pt = leads[t]
+        mt, pt = leads[t], lpos[t]
         queued = live.setdefault(pt, {})
         for (i, j), l in list(queued.items()):
-            if divides(mt, l) and lcm(leads[i][0], mt) != l and lcm(leads[j][0], mt) != l:
+            if not (l - mt) & guards and lcm(leads[i], mt) != l and lcm(leads[j], mt) != l:
                 del queued[i, j]
         act = active.setdefault(pt, [])
         new = []
         for i in act:
-            mi = leads[i][0]
+            mi = leads[i]
             l = lcm(mi, mt)
-            new.append((i, l, rank1 and kernel.mono_mul(mi, mt) == l))
+            new.append((i, l, rank1 and mi + mt == l))
         lcms = [l for _, l, _ in new]
         kept_lcms = []  # of the new pairs kept so far, coprime ones included
         for k, (i, l, coprime) in enumerate(new):
             if not coprime and (
-                any(divides(l2, l) for l2 in kept_lcms)
-                or any(divides(l2, l) for l2 in lcms[k + 1:])
+                any(not (l - l2) & guards for l2 in kept_lcms)
+                or any(not (l - l2) & guards for l2 in lcms[k + 1:])
             ):
                 continue
             kept_lcms.append(l)
             if coprime:
                 continue
-            s = max(sugar[i] + deg(l) - deg(leads[i][0]), sugar[t] + deg(l) - deg(mt))
+            dl = deg(l)
+            s = max(sugar[i] + dl - degs[i], sugar[t] + dl - degs[t])
             queued[i, t] = l
-            heapq.heappush(heap, (s, kernel.term_sortkey((l, pt), order), i, t))
-        act[:] = [i for i in act if not divides(mt, leads[i][0])]
+            heapq.heappush(heap, (s, lay.sortkey(lay.term(l, pt)), i, t))
+        act[:] = [i for i in act if (leads[i] - mt) & guards]
         act.append(t)
 
     for g in gens[:known]:
-        add(g, _vec_sugar(g))
-        active.setdefault(leads[-1][1], []).append(len(G) - 1)
+        g = lay.pack_vec(g)
+        add(g, vec_sugar(g))
+        active.setdefault(lpos[-1], []).append(len(G) - 1)
     for g in gens[known:]:
-        add(g, _vec_sugar(g))
+        g = lay.pack_vec(g)
+        add(g, vec_sugar(g))
         update(len(G) - 1)
 
     while heap:
         s, _, i, j = heapq.heappop(heap)
-        l = live[leads[i][1]].pop((i, j), None)
+        l = live[lpos[i]].pop((i, j), None)
         if l is None:
             continue
         ldeg = deg(l)
@@ -282,24 +299,32 @@ def _buchberger(gens, order, p, rank1, budget, known=0):
                 "S-pair budget exceeded (%d pairs)" % budget.maxpairs,
                 detail={"pair": (i, j)},
             )
-        sp = kernel.spair_vec(G[i], G[j], order, p)
-        h = kernel.nf_vec(sp, G, order, p)
+        sp = kernel.spair_vec(G[i], G[j], lay, p)
+        h = kernel.nf_vec(sp, R, lay, p)
         if h:
-            add(kernel.monic_vec(h, p), max(s, _vec_sugar(h)))
+            add(kernel.monic_vec(h, p), max(s, vec_sugar(h)))
             update(len(G) - 1)
 
     # minimalize: keep only leads not divisible by another kept lead
     kept = []
     for k in sorted(range(len(G)), key=keys.__getitem__):
-        mg, pg = leads[k]
-        if not any(leads[h][1] == pg and divides(leads[h][0], mg) for h in kept):
+        if not any(lpos[h] == lpos[k] and not (leads[k] - leads[h]) & guards for h in kept):
             kept.append(k)
     kept.sort(key=keys.__getitem__, reverse=True)
-    # interreduce tails; leads stay put
-    reduced = [G[k] for k in kept]
-    for idx in range(len(reduced)):
-        rest = reduced[:idx] + reduced[idx + 1 :]
-        reduced[idx] = kernel.monic_vec(kernel.nf_vec(reduced[idx], rest, order, p), p)
+    # interreduce tails against the kept elements, each tail as soon as
+    # it is reduced; an element's own lead divides none of the terms its
+    # tail reduction meets, which are all below that lead
+    R = R.subset(kept)
+    reduced = []
+    for idx, k in enumerate(kept):
+        tail = G[k][1:]
+        new = kernel.nf_vec(tail, R, lay, p)
+        if new is tail and k < len(gens):
+            reduced.append(gens[k])
+            continue
+        g = (G[k][0],) + new
+        R.replace(idx, g)
+        reduced.append(lay.unpack_vec(g))
     return tuple(reduced), (topdeg, counter)
 
 
@@ -316,6 +341,11 @@ def _cached_basis(context, gens, order, rank1, budget, known=0):
     return hit
 
 
+def _reducer_of(vecs, order, context):
+    lay = kernel.layout(order, context.nvars)
+    return kernel.Reducer(lay, context.p, [lay.pack_vec(g) for g in vecs])
+
+
 class SubmoduleBasis:
     """Reduced basis of a submodule of R^rank over a presented ring.
 
@@ -324,7 +354,7 @@ class SubmoduleBasis:
     the relation ideal of the presented ring as rank-1 vecs.
     """
 
-    __slots__ = ("context", "rank", "order", "ring_rels", "gens", "_ringrow_basis")
+    __slots__ = ("context", "rank", "order", "ring_rels", "gens", "_reducer", "_ringrow_reducer")
 
     def __init__(self, context, rank, order, ring_rels, gens):
         self.context = context
@@ -332,13 +362,24 @@ class SubmoduleBasis:
         self.order = order
         self.ring_rels = tuple(ring_rels)
         self.gens = tuple(gens)
-        self._ringrow_basis = None
+        self._reducer = None
+        self._ringrow_reducer = None
+
+    def reducer(self):
+        """The kernel.Reducer of gens, built on first use and kept for
+        the life of this basis."""
+        if self._reducer is None:
+            self._reducer = _reducer_of(self.gens, self.order, self.context)
+        return self._reducer
 
     def nf(self, vec):
-        return kernel.nf_vec(kernel.canon_vec(vec, self.order, self.context.p), self.gens, self.order, self.context.p)
+        p = self.context.p
+        return kernel.nf_vec(kernel.canon_vec(vec, self.order, p), self.reducer(), self.order, p)
 
     def contains(self, vec) -> bool:
-        return not self.nf(vec)
+        R = self.reducer()
+        p = self.context.p
+        return not kernel.nf_vec(R.layout.canon(vec, p), R, R.layout, p, first=True)
 
     def extend(self, vecs, budget: Optional[Budget] = None) -> "SubmoduleBasis":
         """The submodule plus the span of `vecs`, over the same ring and
@@ -358,21 +399,20 @@ class SubmoduleBasis:
         return all(self.contains(unit_vec(self.context, j)) for j in range(self.rank))
 
     def _ring_rows(self):
-        if self._ringrow_basis is None:
+        if self._ringrow_reducer is None:
             rows = _relation_rows(self.ring_rels, self.rank)
-            self._ringrow_basis = _cached_basis(
-                self.context, rows, self.order, self.rank == 1, default_budget()
-            )[0]
-        return self._ringrow_basis
+            basis = _cached_basis(self.context, rows, self.order, self.rank == 1, default_budget())[0]
+            self._ringrow_reducer = _reducer_of(basis, self.order, self.context)
+        return self._ringrow_reducer
 
     def visible_gens(self):
         """Basis elements that are nonzero in the presented ring's
         quotient (ring-relation rows filtered out)."""
-        rows = self._ring_rows()
+        R = self._ring_rows()
         p = self.context.p
         out = []
         for g in self.gens:
-            if kernel.nf_vec(g, rows, self.order, p):
+            if kernel.nf_vec(R.layout.pack_vec(g), R, R.layout, p, first=True):
                 out.append(g)
         return tuple(out)
 

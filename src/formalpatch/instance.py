@@ -10,7 +10,7 @@ import os
 
 from .engine import vec_of_polys
 from .fields import QQ, PrimeField
-from .poly import ParseError, parse_poly
+from .poly import ParseError, is_identifier, parse_poly
 from .rings import RingError, make_base_ring, validate_prime_data
 from .towers import PresModule, TowerError, build_tower, default_pool
 
@@ -75,16 +75,27 @@ class Instance:
         _expect(isinstance(fld, dict), path, "field", "expected an object")
         char = _require(fld, "characteristic", path, "field")
         _expect(
-            isinstance(char, int) and char >= 0,
+            isinstance(char, int) and not isinstance(char, bool) and char >= 0,
             path, "field.characteristic", "expected a nonnegative integer",
         )
-        field = QQ if char == 0 else PrimeField(char)
+        try:
+            field = QQ if char == 0 else PrimeField(char)
+        except ValueError as exc:
+            raise InstanceError(path, "field.characteristic", str(exc))
 
         ring = _require(data, "ring", path, "")
         _expect(isinstance(ring, dict), path, "ring", "expected an object")
         varnames = _require(ring, "vars", path, "ring")
+        _expect(isinstance(varnames, list), path, "ring.vars", "expected an array of variable names")
+        for k, v in enumerate(varnames):
+            _expect(isinstance(v, str) and is_identifier(v), path, "ring.vars[%d]" % k,
+                    "expected a variable name (a letter, then letters, digits or ')")
+        _expect(len(set(varnames)) == len(varnames), path, "ring.vars", "duplicate variable names")
         rels = ring.get("relations", [])
+        _expect(isinstance(rels, list) and all(isinstance(r, str) for r in rels),
+                path, "ring.relations", "expected an array of polynomial strings")
         tname = _require(ring, "t", path, "ring")
+        _expect(isinstance(tname, str), path, "ring.t", "expected a variable name")
         try:
             self.ring = make_base_ring(field, varnames, rels, tname)
         except (RingError, ParseError, TypeError) as exc:
@@ -105,6 +116,7 @@ class Instance:
             inters = primes.get("intersections")
             inter_polys = None
             if inters is not None:
+                _expect(isinstance(inters, list), path, "primes.intersections", "expected an array")
                 inter_polys = [
                     self._poly_list(c, "primes.intersections[%d]" % j)
                     for j, c in enumerate(inters)
@@ -119,7 +131,9 @@ class Instance:
             except RingError as exc:
                 raise InstanceError(path, "primes", str(exc))
 
-        for name, entry in data.get("modules", {}).items():
+        modules = data.get("modules", {})
+        _expect(isinstance(modules, dict), path, "modules", "expected an object")
+        for name, entry in modules.items():
             keypath = "modules.%s" % name
             _expect(isinstance(entry, dict), path, keypath, "expected an object")
             g = _require(entry, "generators", path, keypath)
@@ -140,6 +154,7 @@ class Instance:
     # -- per-command views ---------------------------------------------
 
     def module(self, name, keypath):
+        _expect(isinstance(name, str), self.path, keypath, "expected a module name")
         _expect(name in self.modules, self.path, keypath, "unknown module: %s" % name)
         return self.modules[name]
 

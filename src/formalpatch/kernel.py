@@ -1,40 +1,32 @@
-"""Kernel backend selection.
+"""The hot kernel's public names.
 
-Imports the compiled kernel when available, otherwise the pure-Python
-twin.  FORMALPATCH_PURE=1 forces the fallback (useful for benchmarking
-and for ruling the extension out when debugging).  Both backends are
-bit-for-bit interchangeable; tests assert that.
+Everything is implemented in formalpatch._kernel_py; the layers above
+call it through this module, so that these names are the one place a
+tracer or a test counter wraps kernel calls.
 """
 
-from __future__ import annotations
-
-import os
-
-if os.environ.get("FORMALPATCH_PURE") == "1":
-    from formalpatch import _kernel_py as _impl
-else:
-    try:
-        from formalpatch import _kernel_cy as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from formalpatch import _kernel_py as _impl
-
-BACKEND = _impl.BACKEND
-EXP_LIMIT = _impl.EXP_LIMIT
-mono_one = _impl.mono_one
-mono_mul = _impl.mono_mul
-mono_div = _impl.mono_div
-mono_divides = _impl.mono_divides
-mono_lcm = _impl.mono_lcm
-mono_deg = _impl.mono_deg
-cmp_mono = _impl.cmp_mono
-cmp_term = _impl.cmp_term
-term_sortkey = _impl.term_sortkey
-coeff_inv = _impl.coeff_inv
-canon_vec = _impl.canon_vec
-add_vec = _impl.add_vec
-neg_vec = _impl.neg_vec
-scale_vec = _impl.scale_vec
-mul_vec_poly = _impl.mul_vec_poly
-monic_vec = _impl.monic_vec
-nf_vec = _impl.nf_vec
-spair_vec = _impl.spair_vec
+from formalpatch._kernel_py import (  # noqa: F401
+    BACKEND,
+    EXP_LIMIT,
+    Layout,
+    Reducer,
+    add_vec,
+    canon_vec,
+    cmp_mono,
+    cmp_term,
+    coeff_inv,
+    layout,
+    monic_vec,
+    mono_deg,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+    mono_one,
+    mul_vec_poly,
+    neg_vec,
+    nf_vec,
+    scale_vec,
+    spair_vec,
+    term_sortkey,
+)

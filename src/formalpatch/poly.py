@@ -22,6 +22,11 @@ from formalpatch.fields import QQ, Field
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9']*")
 
 
+def is_identifier(name: str) -> bool:
+    """Is name a legal variable name: a letter, then letters, digits or '."""
+    return _IDENT_RE.fullmatch(name) is not None
+
+
 class PolyContext:
     """Variable list + field + default order data; immutable.
 
@@ -35,7 +40,7 @@ class PolyContext:
         if len(set(vars)) != len(vars):
             raise ValueError("duplicate variable names")
         for v in vars:
-            if not _IDENT_RE.fullmatch(v):
+            if not is_identifier(v):
                 raise ValueError("bad variable name %r" % (v,))
         if tvar is not None and tvar not in vars:
             raise ValueError("t variable %r not in variable list" % (tvar,))
@@ -466,7 +471,12 @@ def parse_poly(text: str, context: PolyContext) -> Polynomial:
             kind, val, pos = lx.next()
             if kind != "int":
                 raise ParseError("exponent must be an integer literal", pos)
-            return base ** val
+            try:
+                if val > kernel.EXP_LIMIT:
+                    raise OverflowError
+                return base ** val
+            except OverflowError:
+                raise ParseError("exponent too large (the limit is %d)" % kernel.EXP_LIMIT, pos) from None
         return base
 
     def parse_primary():

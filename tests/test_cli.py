@@ -52,6 +52,24 @@ class TestExitCodes:
         assert code == 3
         assert str(p) in err and "primes" in err
 
+    @pytest.mark.parametrize("section, key, value, keypath", [
+        ("ring", "vars", "xyt", "ring.vars"),
+        ("ring", "vars", ["x", "", "t"], "ring.vars[1]"),
+        (None, "modules", "abc", "modules"),
+        ("problem", "m1", ["M"], "problem.m1"),
+        ("ring", "relations", ["x^3000000000000000000000*y"], "ring"),
+    ])
+    def test_hostile_field_exits_3_naming_it(self, capsys, tmp_path, section, key, value, keypath):
+        with open(bundled_path("a2-ideal-xy")) as fh:
+            data = json.load(fh)
+        (data[section] if section else data)[key] = value
+        p = tmp_path / "hostile.json"
+        p.write_text(json.dumps(data))
+        code, out, err = run(capsys, "solve", str(p), "--depth", "2")
+        assert code == 3
+        assert out == ""
+        assert "%s: %s: " % (p, keypath) in err
+
     def test_degree_budget_exit_hints_at_depth_and_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("FORMALPATCH_BUDGET", "3:200000")
         code, out, err = run(capsys, "solve", "a2-ideal-xy", "--depth", "2")

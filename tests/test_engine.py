@@ -1,6 +1,7 @@
 """Engine checks against values frozen from the brute-force oracle, plus
 structural properties (determinism, order invariance, budgets)."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -555,6 +556,51 @@ def test_eliminations_return_reduced_bases(order):
             again = submodule(list(result.gens), CTX_T, 1, order=A.order)
             assert result.gens == again.gens
         assert submodule_intersect(A, B).contains(vec_of_polys([a * b]))
+
+
+def _sweep_record(order, p, rank, gens, known=0):
+    """(basis, use) of one _buchberger run, and the BudgetErrors
+    (message, detail) of its reruns one degree and one pair below that
+    use."""
+    basis, use = engine._buchberger(gens, order, p, rank == 1, Budget(), known)
+    failures = []
+    for tight in (Budget(maxdeg=use[0] - 1), Budget(maxpairs=use[1] - 1)):
+        if use[1] == 0:
+            break
+        try:
+            engine._buchberger(gens, order, p, rank == 1, tight, known)
+        except BudgetError as exc:
+            failures.append((str(exc), exc.detail))
+    return basis, use, failures
+
+
+def sweep_digest():
+    """SHA-256 over seeded _buchberger runs: ideals (rank 1) and modules
+    (ranks 2, 3) over Q, F_7 and F_32003 under every order of GB_ORDERS,
+    unseeded and seeded with a reduced basis."""
+    h = hashlib.sha256()
+    for name in sorted(GB_ORDERS):
+        order = GB_ORDERS[name]
+        for p in (0, 7, 32003):
+            for rank in (1, 2, 3):
+                rng = random.Random("sweep:%s:%d:%d" % (name, p, rank))
+                for _ in range(5):
+                    gens = engine._monic_gens(random_gens(rng, p, order, rank), order, p)
+                    record = _sweep_record(order, p, rank, gens)
+                    more = engine._monic_gens(random_gens(rng, p, order, rank), order, p)
+                    seeded = _sweep_record(order, p, rank, record[0] + more, len(record[0]))
+                    h.update(repr((name, p, rank, record, seeded)).encode())
+    return h.hexdigest()
+
+
+# recorded with the tuple-monomial engine that preceded packed terms
+SWEEP_DIGEST = "223a00657481eb65d91288e6922ffdd3ab028208f9d3f260bbcc3f7cb509e1f2"
+
+
+def test_seeded_sweep_matches_frozen_digest():
+    # reduced bases, the (lcm degree, pairs) use that budget replay
+    # compares, and the BudgetError a tighter budget raises
+    assert sweep_digest() == SWEEP_DIGEST
 
 
 def test_seeded_syzygy_pair_gate(monkeypatch, capsys):

@@ -1,8 +1,10 @@
-"""The pure kernel's heap-ordered reducer (`_kernel_py.nf_vec`) must
+"""The kernel's reducer (`_kernel_py.nf_vec`, over packed terms) must
 return exactly what the merge-based reducer it replaced returns, and
 its S-vector (`_kernel_py.spair_vec`) exactly the sum of the two whole
 scaled vectors: the same terms in the same order, with the same
-coefficients."""
+coefficients.  The packed terms themselves (`_kernel_py.Layout`) must
+sort as term_sortkey sorts, multiply by adding and divide by a mask
+test."""
 
 import random
 from fractions import Fraction
@@ -21,6 +23,7 @@ ORDERS = [
     (((0,), (1, 2)), 1, (0, 1, 1)),     # several blocks, grouping and position over term
     (((0, 2, 1),), 0, ()),              # one block, variables not in index order
 ]
+NON_COVERING = (((0, 1),), 0, ())       # a block over x, y only
 PRIMES = [0, 7, 32003]
 
 
@@ -169,3 +172,120 @@ def test_spair_matches_sum_of_scaled_vectors(order, p, rank):
             assert all(type(c) is Fraction for _, c in got)
         checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("order", ORDERS + [NON_COVERING])
+def test_packed_key_sorts_as_term_sortkey(order):
+    """Stable sorts by the two keys agree exactly, ties (repeated terms,
+    terms apart only outside the blocks) included."""
+    rng = random.Random("key:%r" % (order,))
+    lay = kpy.layout(order, 3)
+    terms = [(tuple(rng.randrange(0, 6) for _ in range(3)), rng.randrange(3)) for _ in range(400)]
+    top = kpy.EXP_LIMIT
+    terms += [((top, 0, 1), 0), ((0, top, top), 2), ((top, top, top), 1), ((top - 1, 1, top), 1)]
+    rng.shuffle(terms)
+    by_tuple = sorted(terms, key=lambda t: kpy.term_sortkey(t, order))
+    by_packed = sorted(terms, key=lambda t: lay.sortkey(lay.pack(t)))
+    assert by_packed == by_tuple
+    assert all(lay.unpack(lay.pack(t)) == t for t in terms)
+    assert all(lay.deg(lay.pack(t) & lay.emask) == sum(t[0]) for t in terms)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_packed_arithmetic_matches_tuples(order):
+    """Products add (the key with them), divisibility is a mask test, and
+    lcm and degree agree with the tuple routines."""
+    rng = random.Random("arith:%r" % (order,))
+    lay = kpy.layout(order, 3)
+    for _ in range(300):
+        a = tuple(rng.randrange(0, 5) for _ in range(3))
+        b = tuple(rng.randrange(0, 5) for _ in range(3))
+        pos = rng.randrange(3)
+        ta, tb = lay.pack((a, 0)), lay.pack((b, pos))
+        assert ta + tb == lay.pack((kpy.mono_mul(a, b), pos))
+        ea, eb = ta & lay.emask, tb & lay.emask
+        assert (not (eb - ea) & lay.guards) == kpy.mono_divides(a, b)
+        assert lay.mono(lay.lcm(ea, eb)) == kpy.mono_lcm(a, b)
+        assert lay.deg(eb) == kpy.mono_deg(b)
+        assert lay.term(eb, pos) == tb
+
+
+def test_packed_degree_of_large_exponents():
+    """Four fields at EXP_LIMIT sum past one field's width."""
+    lay = kpy.layout((((0, 1, 2, 3),), 0, ()), 4)
+    top = kpy.EXP_LIMIT
+    for mono in [(top,) * 4, (top, 0, top, 1), (top - 1, 3, 0, 2)]:
+        assert lay.deg(lay.pack((mono, 0)) & lay.emask) == sum(mono)
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("order", ORDERS)
+def test_packed_reducer_matches_merge_reducer(order, p, rank):
+    """One Reducer per basis, reused across inputs, on packed vecs."""
+    rng = random.Random("packed:%r:%d:%d" % (order, p, rank))
+    lay = kpy.layout(order, 3)
+    for _ in range(10):
+        _, basis = random_case(rng, p, order, rank)
+        R = kpy.Reducer(lay, p, [lay.pack_vec(g) for g in basis])
+        for _ in range(5):
+            u = random_vec(rng, p, order, rank, rng.randrange(1, 9), 4)
+            expected = nf_vec_merge(u, basis, order, p)
+            got = kpy.nf_vec(lay.pack_vec(u), R, lay, p)
+            assert lay.unpack_vec(got) == expected
+            assert kpy.nf_vec(u, R, order, p) == expected
+            # the greatest term alone, as membership tests ask for it
+            first = kpy.nf_vec(lay.pack_vec(u), R, lay, p, first=True)
+            assert lay.unpack_vec(first) == expected[:1]
+            assert kpy.nf_vec(u, basis, order, p, first=True) == expected[:1]
+
+
+def test_exponent_limit_is_exact_in_packed_products():
+    """A product that reaches EXP_LIMIT is fine, one past it raises, in
+    nf_vec and in spair_vec alike."""
+    order = (((0, 1),), 0, ())
+    limit = kpy.EXP_LIMIT
+    g = (((1, 0), 0), 1), (((0, 1), 0), 1)
+    assert kpy.nf_vec(((((1, limit - 1), 0), 1),), [g], order, 7) == ((((0, limit), 0), 6),)
+    with pytest.raises(OverflowError):
+        kpy.nf_vec(((((1, limit), 0), 1),), [g], order, 7)
+    assert kpy.spair_vec(((((1, limit - 1), 0), 1),), g, order, 7) == ((((0, limit), 0), 6),)
+    with pytest.raises(OverflowError):
+        kpy.spair_vec(((((1, limit), 0), 1),), g, order, 7)
+
+
+def test_submodule_basis_builds_its_reducer_once(monkeypatch):
+    """A basis answering many membership queries packs itself once."""
+    from formalpatch import engine
+    from formalpatch.fields import PrimeField
+    from formalpatch.poly import PolyContext
+
+    p = 32003
+    ctx = PolyContext(PrimeField(p), ["x", "y", "z"])
+    order = ctx.order0
+    rng = random.Random("once")
+    gens = [random_vec(rng, p, order, 2, 3, 2) for _ in range(3)]
+    B = engine.submodule(gens, ctx, 2)
+    queries = []
+    for k in range(500):
+        if k % 2:
+            queries.append(random_vec(rng, p, order, 2, 4, 3))
+        else:
+            acc = ()
+            for g in gens:
+                mono = tuple(rng.randrange(0, 3) for _ in range(3))
+                acc = kpy.add_vec(acc, kpy.scale_vec(g, rng.randrange(1, p), mono, p), order, p)
+            queries.append(acc)
+    built = []
+    init = kpy.Reducer.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(kpy.Reducer, "__init__", counted)
+    answers = [B.contains(q) for q in queries]
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert all(answers[::2])
+    assert answers == [not nf_vec_merge(q, B.gens, order, p) for q in queries]
