@@ -8,7 +8,7 @@ relation rows (relation times each unit vector) to every computation;
 there is no separate quotient arithmetic.
 
 Everything below the public wrappers works on the kernel's flat vec
-representation; see formalpatch._kernel_py for the format.
+representation; see formalpatch.kernel for the format.
 
 Groebner bases come from one sugar-strategy Buchberger (_buchberger)
 that keeps its pair queue with the update of Gebauer and Moeller (1988):
@@ -107,18 +107,12 @@ class FreeModuleElement:
         if not coords:
             raise ValueError("empty coordinate vector")
         ctx = coords[0].context
-        vec = []
-        for pos, c in enumerate(coords):
-            if c.context != ctx:
-                raise ValueError("mixed contexts in module element")
-            vec.extend(((m, pos), co) for (m, _), co in c.terms)
-        return cls(ctx, len(coords), vec)
+        if any(c.context != ctx for c in coords):
+            raise ValueError("mixed contexts in module element")
+        return cls(ctx, len(coords), vec_of_polys(coords))
 
     def coords(self) -> list:
-        out = [[] for _ in range(self.rank)]
-        for (m, pos), c in self.vec:
-            out[pos].append(((m, 0), c))
-        return [Polynomial(self.context, terms) for terms in out]
+        return vec_coords(self.context, self.rank, self.vec)
 
     @property
     def is_zero(self) -> bool:
@@ -151,20 +145,29 @@ def unit_vec(ctx: PolyContext, k: int):
     return (((kernel.mono_one(ctx.nvars), k), ctx.field.one),)
 
 
-def vec_text(ctx: PolyContext, rank: int, vec) -> str:
+def vec_coords(ctx: PolyContext, rank: int, vec) -> list:
+    """The rank coordinates of a vec, as Polynomials over ctx."""
     coords = [[] for _ in range(rank)]
     for (m, pos), c in vec:
         coords[pos].append(((m, 0), c))
+    return [Polynomial(ctx, terms) for terms in coords]
+
+
+def vec_text(ctx: PolyContext, rank: int, vec) -> str:
+    coords = vec_coords(ctx, rank, vec)
     if rank == 1:
-        return canonical_text(Polynomial(ctx, coords[0]))
-    return "(" + ", ".join(canonical_text(Polynomial(ctx, t)) for t in coords) + ")"
+        return canonical_text(coords[0])
+    return "(" + ", ".join(canonical_text(c) for c in coords) + ")"
 
 
-def _relation_rows(ring_rels, rank):
+def diagonal_rows(polys, rank):
+    """Each rank-1 vec of `polys` times each unit vector of R^rank, in
+    that order: the relation rows of a presented ring's relations, or
+    the rows f*e_j of a single f."""
     rows = []
-    for rel in ring_rels:
+    for f in polys:
         for j in range(rank):
-            rows.append(tuple(((m, j), c) for (m, _), c in rel))
+            rows.append(tuple(((m, j), c) for (m, _), c in f))
     return rows
 
 
@@ -400,7 +403,7 @@ class SubmoduleBasis:
 
     def _ring_rows(self):
         if self._ringrow_reducer is None:
-            rows = _relation_rows(self.ring_rels, self.rank)
+            rows = diagonal_rows(self.ring_rels, self.rank)
             basis = _cached_basis(self.context, rows, self.order, self.rank == 1, default_budget())[0]
             self._ringrow_reducer = _reducer_of(basis, self.order, self.context)
         return self._ringrow_reducer
@@ -415,9 +418,6 @@ class SubmoduleBasis:
             if kernel.nf_vec(R.layout.pack_vec(g), R, R.layout, p, first=True):
                 out.append(g)
         return tuple(out)
-
-    def elements(self):
-        return [FreeModuleElement(self.context, self.rank, g) for g in self.gens]
 
     def __eq__(self, other):
         return (
@@ -448,7 +448,7 @@ def submodule(
     """Reduced basis of the span of `vecs` plus the ring-relation rows."""
     order = order if order is not None else TOP_GREVLEX.descriptor(context)
     budget = budget or default_budget()
-    rows = list(vecs) + _relation_rows(ring_rels, rank)
+    rows = list(vecs) + diagonal_rows(ring_rels, rank)
     gb, _ = _cached_basis(context, rows, order, rank == 1, budget)
     return SubmoduleBasis(context, rank, order, ring_rels, gb)
 
@@ -483,8 +483,9 @@ def _strip_prefix(vec, k):
     return tuple(((m[k:], pos), c) for (m, pos), c in vec)
 
 
-def _uses_prefix(vec, k):
-    return any(any(m[i] for i in range(k)) for (m, pos), _ in vec)
+def _uses_vars(vec, indices):
+    """Does some term of vec carry a variable of `indices`?"""
+    return any(m[i] for (m, _), _ in vec for i in indices)
 
 
 def syzygy_project(
@@ -541,14 +542,14 @@ def syzygy_project(
             gens = seed + _monic_gens(tagged, ext_order, p)
         else:
             seed = ()
-            gens = _monic_gens(tagged + list(aux) + _relation_rows(ring_rels, rank), ext_order, p)
+            gens = _monic_gens(tagged + list(aux) + diagonal_rows(ring_rels, rank), ext_order, p)
         gb, use = _buchberger(gens, ext_order, p, False, budget, len(seed))
         projected = tuple(
             tuple(((m, pos - rank), c) for (m, pos), c in g) for g in gb if g[0][0][1] >= rank
         )
         if order[2]:
             projected, use2 = _cached_basis(
-                context, projected + tuple(_relation_rows(ring_rels, nmain)), order, nmain == 1, budget
+                context, projected + tuple(diagonal_rows(ring_rels, nmain)), order, nmain == 1, budget
             )
             use = tuple(map(max, use, use2))
         hit = context._cache[key] = projected, use
@@ -580,7 +581,7 @@ def _aux_contraction(gb, like, budget):
     already when like's order is the default one, which the elimination
     order restricts to."""
     ctx = like.context
-    kept = tuple(_strip_prefix(g, 1) for g in gb if not _uses_prefix(g, 1))
+    kept = tuple(_strip_prefix(g, 1) for g in gb if not _uses_vars(g, (0,)))
     if like.order == TOP_GREVLEX.descriptor(ctx):
         return SubmoduleBasis(ctx, like.rank, like.order, like.ring_rels, kept)
     return submodule(kept, ctx, like.rank, like.ring_rels, like.order, budget)
@@ -596,14 +597,10 @@ def submodule_intersect(b1: SubmoduleBasis, b2: SubmoduleBasis, budget: Optional
     one = kernel.mono_one(ctx.nvars + 1)
     u = (1,) + (0,) * ctx.nvars
     ext_order = _aux_elimination_order(ctx)
-    gens = []
-    for v in b1.gens:
-        gens.append(kernel.scale_vec(_lift_prepend(v, 1), ctx.field.one, u, p))
+    gens = [kernel.scale_vec(_lift_prepend(v, 1), ctx.field.one, u, p) for v in b1.gens]
     one_minus_u = kernel.canon_vec((((one, 0), ctx.field.one), ((u, 0), -ctx.field.one if p == 0 else p - 1)), ext_order, p)
-    for v in b2.gens:
-        gens.append(kernel.mul_vec_poly(_lift_prepend(v, 1), one_minus_u, ext_order, p))
-    for row in _relation_rows(b1.ring_rels, b1.rank):
-        gens.append(_lift_prepend(row, 1))
+    gens += [kernel.mul_vec_poly(_lift_prepend(v, 1), one_minus_u, ext_order, p) for v in b2.gens]
+    gens += [_lift_prepend(row, 1) for row in diagonal_rows(b1.ring_rels, b1.rank)]
     gb, _ = _cached_basis(ctx, gens, ext_order, b1.rank == 1, budget)
     return _aux_contraction(gb, b1, budget)
 
@@ -641,11 +638,9 @@ def module_quotient(basis: SubmoduleBasis, f: Polynomial, budget: Optional[Budge
         raise ValueError("mixed contexts")
     if f.is_zero:
         raise ValueError("quotient by zero")
-    main = []
-    for j in range(basis.rank):
-        main.append(tuple(((m, j), c) for (m, _), c in f.terms))
     return syzygy_project(
-        main, basis, basis.context, basis.rank, basis.ring_rels, basis.order, budget
+        diagonal_rows([f.terms], basis.rank),
+        basis, basis.context, basis.rank, basis.ring_rels, basis.order, budget,
     )
 
 
@@ -672,14 +667,12 @@ def saturate_rabinowitsch(basis: SubmoduleBasis, f: Polynomial, budget: Optional
     one = kernel.mono_one(ctx.nvars + 1)
     u = (1,) + (0,) * ctx.nvars
     uf_minus_1 = kernel.add_vec(
-        kernel.scale_vec(_lift_prepend(tuple(((m, 0), c) for (m, _), c in f.terms), 1), ctx.field.one, u, p),
+        kernel.scale_vec(_lift_prepend(f.terms, 1), ctx.field.one, u, p),
         (((one, 0), -ctx.field.one if p == 0 else p - 1),),
         ext_order,
         p,
     )
-    gens = [_lift_prepend(v, 1) for v in basis.gens]
-    for j in range(basis.rank):
-        gens.append(tuple(((m, j), c) for (m, _), c in uf_minus_1))
+    gens = [_lift_prepend(v, 1) for v in basis.gens] + diagonal_rows([uf_minus_1], basis.rank)
     gb, _ = _cached_basis(ctx, gens, ext_order, basis.rank == 1, budget)
     return _aux_contraction(gb, basis, budget)
 
@@ -699,10 +692,7 @@ def eliminate(basis: SubmoduleBasis, var_names, budget: Optional[Budget] = None)
     blocks = (block,) + tuple(b for b in rest_blocks if b)
     elim_order = (blocks, 0, ())
     gb, _ = _cached_basis(ctx, basis.gens, elim_order, basis.rank == 1, budget)
-    kept = []
-    for g in gb:
-        if all(all(m[i] == 0 for i in block) for (m, _), _ in g):
-            kept.append(g)
+    kept = [g for g in gb if not _uses_vars(g, block)]
     return submodule(kept, ctx, basis.rank, basis.ring_rels, basis.order, budget)
 
 
@@ -716,9 +706,5 @@ def contract_prefix(basis: SubmoduleBasis, k: int, target_rels, budget: Optional
     target = ctx.drop_prefix(k)
     # ring rows of the extended ring may carry the adjoined variables;
     # only block-free elements survive the contraction
-    free = [
-        g for g in elim.gens
-        if all(all(m[i] == 0 for i in range(k)) for (m, _), _ in g)
-    ]
-    stripped = [_strip_prefix(g, k) for g in free]
+    stripped = [_strip_prefix(g, k) for g in elim.gens if not _uses_vars(g, range(k))]
     return submodule(stripped or [()], target, basis.rank, target_rels, None, budget)

@@ -12,7 +12,7 @@ from .engine import vec_of_polys
 from .fields import QQ, PrimeField
 from .poly import ParseError, is_identifier, parse_poly
 from .rings import RingError, make_base_ring, validate_prime_data
-from .towers import PresModule, TowerError, build_tower, default_pool
+from .towers import PresModule, TowerError, build_tower
 
 __all__ = ["Instance", "InstanceError", "load_instance", "bundled_path"]
 
@@ -40,6 +40,12 @@ def _require(obj, key, path, keypath):
 def _expect(cond, path, keypath, message):
     if not cond:
         raise InstanceError(path, keypath, message)
+
+
+def _is_int(value):
+    """A JSON integer; true and false are not, though Python's bool is
+    an int."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class Instance:
@@ -75,7 +81,7 @@ class Instance:
         _expect(isinstance(fld, dict), path, "field", "expected an object")
         char = _require(fld, "characteristic", path, "field")
         _expect(
-            isinstance(char, int) and not isinstance(char, bool) and char >= 0,
+            _is_int(char) and char >= 0,
             path, "field.characteristic", "expected a nonnegative integer",
         )
         try:
@@ -138,7 +144,7 @@ class Instance:
             _expect(isinstance(entry, dict), path, keypath, "expected an object")
             g = _require(entry, "generators", path, keypath)
             _expect(
-                isinstance(g, int) and g >= 1,
+                _is_int(g) and g >= 1,
                 path, keypath + ".generators", "expected a positive integer",
             )
             rows = entry.get("relations", [])
@@ -177,10 +183,11 @@ class Instance:
         f2 = self._poly(_require(cfg, "f2", self.path, "config"), "config.f2")
         depth = depth_override or cfg.get("depth", 3)
         _expect(
-            isinstance(depth, int) and depth >= 1,
+            _is_int(depth) and depth >= 1,
             self.path, "config.depth", "expected a positive integer",
         )
-        connected = bool(cfg.get("connected", False))
+        connected = cfg.get("connected", False)
+        _expect(isinstance(connected, bool), self.path, "config.connected", "expected true or false")
         try:
             open_cfg = patch.make_config(
                 self.ring, self.need_primes(), f1, f2, depth,
@@ -212,7 +219,7 @@ class Instance:
         alpha2 = matrix("alpha2", m2[0], m0[0])
         rank = prob_entry.get("rank")
         if rank is not None:
-            _expect(isinstance(rank, int) and rank >= 0,
+            _expect(_is_int(rank) and rank >= 0,
                     self.path, "problem.rank", "expected a nonnegative integer")
         try:
             problem = patch.pose_problem(
@@ -228,7 +235,7 @@ class Instance:
         else:
             _expect(
                 isinstance(schedule, list)
-                and all(isinstance(d, int) and d >= 0 for d in schedule),
+                and all(_is_int(d) and d >= 0 for d in schedule),
                 self.path, "config.d_schedule", "expected an array of nonnegative integers",
             )
             if dmax_override is not None:
@@ -244,7 +251,7 @@ class Instance:
             _require(entry, "module", self.path, "tower"), "tower.module"
         )
         depth = depth_override or entry.get("depth", 4)
-        _expect(isinstance(depth, int) and depth >= 1,
+        _expect(_is_int(depth) and depth >= 1,
                 self.path, "tower.depth", "expected a positive integer")
         pd = self.need_primes()
         f_loc = self._poly(
@@ -265,6 +272,7 @@ class Instance:
     def candidate(self, name):
         """Candidate sections [(a, da, b, db)] plus declared rank."""
         cands = self.data.get("candidates", {})
+        _expect(isinstance(cands, dict), self.path, "candidates", "expected an object")
         _expect(name in cands, self.path, "candidates",
                 "unknown candidate: %s" % name)
         entry = cands[name]
@@ -280,16 +288,26 @@ class Instance:
             b = vec_of_polys(self._poly_list(_require(sec, "b", self.path, sk), sk + ".b"))
             da = sec.get("da", 0)
             db = sec.get("db", 0)
-            _expect(isinstance(da, int) and da >= 0, self.path, sk + ".da",
+            _expect(_is_int(da) and da >= 0, self.path, sk + ".da",
                     "expected a nonnegative integer")
-            _expect(isinstance(db, int) and db >= 0, self.path, sk + ".db",
+            _expect(_is_int(db) and db >= 0, self.path, sk + ".db",
                     "expected a nonnegative integer")
             out.append((a, da, b, db))
         rank = entry.get("rank")
+        _expect(rank is None or (_is_int(rank) and rank >= 0), self.path, kp + ".rank",
+                "expected a nonnegative integer")
         return out, rank
 
     def symbolic_defaults(self):
-        return self.data.get("symbolic", {})
+        """The `symbolic` section: an object whose `prime` and `n`, when
+        given, are integers (their ranges are checked where used)."""
+        section = self.data.get("symbolic", {})
+        _expect(isinstance(section, dict), self.path, "symbolic", "expected an object")
+        for key in ("prime", "n"):
+            value = section.get(key)
+            _expect(value is None or _is_int(value), self.path, "symbolic." + key,
+                    "expected an integer")
+        return section
 
 
 def load_instance(path: str) -> Instance:

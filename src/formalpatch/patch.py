@@ -19,12 +19,14 @@ from typing import Optional, Sequence
 from formalpatch import kernel
 from formalpatch.engine import (
     SubmoduleBasis,
+    diagonal_rows,
     module_quotient,
     saturate,
     submodule,
     submodule_intersect,
     syzygy_project,
     unit_vec,
+    vec_coords,
     vec_of_polys,
     vec_text,
 )
@@ -33,7 +35,6 @@ from formalpatch.report import Check
 from formalpatch.rings import (
     BaseRing,
     PrimeData,
-    RingError,
     fiber_codimension,
     truncate,
 )
@@ -190,10 +191,7 @@ class PatchProblem:
             R = self.ring_at(level)
             ctx = self.base.context
             if level is not None:
-                t = self.base.t()
-                for k in range(g):
-                    tv = tuple(((m, k), c) for (m, _), c in (t**level).terms)
-                    rows.append(tv)
+                rows += diagonal_rows([(self.base.t() ** level).terms], g)
             basis = submodule(rows or [()], ctx, g, ring_rels=R.rels_vecs)
             self._satrel[key] = saturate(basis, f)[0]
         return self._satrel[key]
@@ -306,10 +304,7 @@ def _torsion_records(problem, satrels_by_level, label, pool):
         if i < depth:
             Snext = satrels_by_level[i + 1]
             lhs = module_quotient(Snext, t)
-            ti_rows = []
-            for k in range(g):
-                ti_rows.append(tuple(((m, k), c) for (m, _), c in (t**i).terms))
-            rhs = Snext.extend(ti_rows)
+            rhs = Snext.extend(diagonal_rows([(t**i).terms], g))
             ok = lhs.gens == rhs.gens
             records.append(Check(label + "-t-regularity", i, "PASS" if ok else "FAIL"))
         Q = _torsion_closure(S, pool)
@@ -704,12 +699,7 @@ def flatness_certificate(M: PresModule, r: int) -> FlatnessVerdict:
     if r > M.g or r < 0:
         raise PatchError("expected rank %d out of range for %d generators" % (r, M.g))
     ctx = M.context
-    rows = []
-    for gv in M.rel.visible_gens():
-        coords = [[] for _ in range(M.g)]
-        for (m, pos), c in gv:
-            coords[pos].append(((m, 0), c))
-        rows.append([Polynomial(ctx, terms) for terms in coords])
+    rows = [vec_coords(ctx, M.g, gv) for gv in M.rel.visible_gens()]
     top = _minor_ideal(M, rows, M.g - r)
     low = _minor_ideal(M, rows, M.g - r + 1)
     zero_ring = M.ring.ideal([])

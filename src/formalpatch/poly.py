@@ -17,7 +17,7 @@ from functools import total_ordering
 from typing import Optional, Sequence
 
 from formalpatch import kernel
-from formalpatch.fields import QQ, Field
+from formalpatch.fields import Field
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9']*")
 
@@ -323,25 +323,10 @@ class Polynomial:
     def __hash__(self):
         return hash((self.context, self.terms))
 
-    @property
-    def total_degree(self) -> int:
-        return max((kernel.mono_deg(m) for (m, _), _ in self.terms), default=0)
-
     def leading_monomial(self) -> Monomial:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return Monomial(self.context, self.terms[0][0][0])
-
-    def constant_coefficient(self):
-        one = kernel.mono_one(self.context.nvars)
-        for (m, _), c in self.terms:
-            if m == one:
-                return c
-        return self.context.field.zero
-
-    def uses_vars(self, indices) -> bool:
-        idx = set(indices)
-        return any(m[i] for (m, _), _ in self.terms for i in idx)
 
     def rename_into(self, other: PolyContext) -> "Polynomial":
         """Reinterpret in a context sharing a suffix (or superset) of

@@ -5,7 +5,7 @@ its base ring violates the integrality hypothesis on purpose (two
 branches through the origin) and exhibits the predicted strict
 containment."""
 
-from .engine import submodule, vec_of_polys, vec_text
+from .engine import submodule, unit_vec, vec_of_polys
 from .instance import bundled_path, load_instance
 from .poly import Polynomial, canonical_text, parse_poly
 from .report import Check, Report
@@ -28,28 +28,32 @@ def _rec(ok, name, level, witness="", failwitness=None):
 
 
 def _unit_pair(problem):
-    ctx = problem.base.context
-    one = Polynomial.one(ctx)
-    zero = Polynomial.zero(ctx)
-    a = [zero] * problem.g1
-    a[0] = one
-    b = [zero] * problem.g2
-    b[0] = one
-    return vec_of_polys(list(a) + list(b))
+    e0 = unit_vec(problem.base.context, 0)
+    return patch._join_pair(e0, e0, problem.g1)
 
 
-def _repro_a2(rid):
+def _solved(rid, denominator=True):
+    """(instance, config, problem, solution, report) for rid's bundled
+    patching problem, solved on its own schedule; the report holds the
+    header and the solver-status record."""
     inst = load_instance(bundled_path(rid))
     cfg, prob, schedule = inst.patch_setup()
     sol = patch.solve(prob, schedule)
-    rep = Report("repro", rid, header=[
-        ("instance", "a2-ideal-xy.json"),
+    header = [
+        ("instance", rid + ".json"),
         ("charts", "f1 = %s, f2 = %s" % (canonical_text(cfg.f1), canonical_text(cfg.f2))),
         ("depth", str(cfg.depth)),
-        ("denominator", str(sol.denominator)),
-        ("sections", "; ".join(sol.section_texts())),
-    ])
+    ]
+    if denominator:
+        header.append(("denominator", str(sol.denominator)))
+    header.append(("sections", "; ".join(sol.section_texts())))
+    rep = Report("repro", rid, header=header)
     rep.add(*_rec(sol.status == "PASS", "solver-status", 0, sol.status, sol.status))
+    return inst, cfg, prob, sol, rep
+
+
+def _repro_a2(rid):
+    inst, cfg, prob, sol, rep = _solved(rid)
     # the solution must be free of rank one at every level
     free = sol.base_module is not None and sol.base_module.g == 1
     rep.add(*_rec(free and not list(sol.base_module.rel.visible_gens()),
@@ -91,7 +95,7 @@ def _repro_xmtn(rid):
     ctx = M.context
     mk = lambda s: parse_poly(s, ctx)
     rep = Report("repro", rid, header=[
-        ("instance", "xm-tn.json"),
+        ("instance", rid + ".json"),
         ("module", "2 generators, relation x*m - t*n"),
         ("depth", str(tower.depth)),
     ])
@@ -108,18 +112,8 @@ def _repro_xmtn(rid):
     return rep
 
 
-def _ring_problem_repro(rid, fname):
-    inst = load_instance(bundled_path(rid))
-    cfg, prob, schedule = inst.patch_setup()
-    sol = patch.solve(prob, schedule)
-    rep = Report("repro", rid, header=[
-        ("instance", fname),
-        ("charts", "f1 = %s, f2 = %s" % (canonical_text(cfg.f1), canonical_text(cfg.f2))),
-        ("depth", str(cfg.depth)),
-        ("denominator", str(sol.denominator)),
-        ("sections", "; ".join(sol.section_texts())),
-    ])
-    rep.add(*_rec(sol.status == "PASS", "solver-status", 0, sol.status, sol.status))
+def _repro_partial_fractions(rid):
+    _inst, cfg, prob, sol, rep = _solved(rid)
     rep.add(*_rec(sol.denominator <= 3, "denominator-bound", 0,
                   "D = %d" % sol.denominator))
     # both directions of span equality with the base-ring image, levelwise
@@ -134,22 +128,8 @@ def _ring_problem_repro(rid, fname):
     return rep
 
 
-def _repro_a1(rid):
-    return _ring_problem_repro(rid, "a1-partial-fractions.json")
-
-
 def _repro_two_planes(rid):
-    inst = load_instance(bundled_path(rid))
-    cfg, prob, schedule = inst.patch_setup()
-    sol = patch.solve(prob, schedule)
-    rep = Report("repro", rid, header=[
-        ("instance", "two-planes.json"),
-        ("charts", "f1 = %s, f2 = %s" % (canonical_text(cfg.f1), canonical_text(cfg.f2))),
-        ("depth", str(cfg.depth)),
-        ("denominator", str(sol.denominator)),
-        ("sections", "; ".join(sol.section_texts())),
-    ])
-    rep.add(*_rec(sol.status == "PASS", "solver-status", 0, sol.status, sol.status))
+    _inst, _cfg, prob, sol, rep = _solved(rid)
     one = vec_of_polys([Polynomial.one(prob.base.context)])
     mx = patch.check_maximality(sol, [(one, 0, one, 0)])
     strictly_larger = mx["verdict"] == "CONTAINED" and mx["strict"]
@@ -167,7 +147,7 @@ def _repro_a1_symbolic(rid):
     B = inst.ring
     mk = lambda s: parse_poly(s, B.context)
     rep = Report("repro", rid, header=[
-        ("instance", "a1-symbolic.json"),
+        ("instance", rid + ".json"),
         ("prime", "(" + ", ".join(canonical_text(g) for g in pd.prime_gens[0]) + ")"),
     ])
     sp, exponent = symbolic_power(pd, 0, 2)
@@ -180,16 +160,7 @@ def _repro_a1_symbolic(rid):
 
 
 def _repro_flat_free(rid):
-    inst = load_instance(bundled_path(rid))
-    cfg, prob, schedule = inst.patch_setup()
-    sol = patch.solve(prob, schedule)
-    rep = Report("repro", rid, header=[
-        ("instance", "flat-free-a2.json"),
-        ("charts", "f1 = %s, f2 = %s" % (canonical_text(cfg.f1), canonical_text(cfg.f2))),
-        ("depth", str(cfg.depth)),
-        ("sections", "; ".join(sol.section_texts())),
-    ])
-    rep.add(*_rec(sol.status == "PASS", "solver-status", 0, sol.status, sol.status))
+    inst, _cfg, prob, sol, rep = _solved(rid, denominator=False)
     rep.add(*_rec(sol.flat_verdict == "FLAT", "flatness", 0,
                   "Fitting signature ((0), (1))", sol.flat_verdict))
     own = [
@@ -211,7 +182,7 @@ def _repro_flat_free(rid):
 REPRO_IDS = {
     "a2-ideal-xy": _repro_a2,
     "xm-tn": _repro_xmtn,
-    "a1-partial-fractions": _repro_a1,
+    "a1-partial-fractions": _repro_partial_fractions,
     "two-planes": _repro_two_planes,
     "a1-symbolic": _repro_a1_symbolic,
     "flat-free-a2": _repro_flat_free,

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 
 from formalpatch.engine import (
     SubmoduleBasis,
+    _lift_prepend,
     contract_prefix,
     module_quotient,
     saturate,
@@ -176,13 +177,11 @@ class LocalizedRing:
         return _ideal(polys, self.context, self.rels_vecs)
 
     def lift_vec(self, vec):
-        k = self.context.ninv - getattr(self.under.context, "ninv", 0)
-        pad = (0,) * k
-        return tuple(((pad + m, pos), c) for (m, pos), c in vec)
+        return _lift_prepend(vec, self.context.ninv - self.under.context.ninv)
 
     def contract(self, basis: SubmoduleBasis, target_rels=None) -> SubmoduleBasis:
         """Contract a submodule over this ring down to the under ring."""
-        k = self.context.ninv - getattr(self.under.context, "ninv", 0)
+        k = self.context.ninv - self.under.context.ninv
         rels = self.under.rels_vecs if target_rels is None else target_rels
         return contract_prefix(basis, k, rels)
 
@@ -215,7 +214,7 @@ def localize(R, f: Polynomial, pd: Optional["PrimeData"] = None) -> LocalizedRin
     context = R.context.prepend_vars([uname])
     u = Polynomial.var(context, uname)
     flift = f.rename_into(context)
-    rel_polys = [Polynomial(context, tuple(((( (0,) + m), 0), c) for (m, _), c in g)) for g in R.rels_vecs]
+    rel_polys = [Polynomial(context, _lift_prepend(g, 1)) for g in R.rels_vecs]
     rels = _ideal(rel_polys + [u * flift - 1], context)
     trivial = f == Polynomial.one(f.context)
     return LocalizedRing(R, ((f, uname),), context, rels, trivial)

@@ -15,6 +15,7 @@ from formalpatch import kernel
 from formalpatch.engine import (
     SubmoduleBasis,
     colon_element,
+    diagonal_rows,
     saturate,
     submodule,
     submodule_intersect,
@@ -71,7 +72,7 @@ class PresModule:
         return unit_vec(self.context, k)
 
     def multiply(self, f: Polynomial, vec):
-        fv = tuple(((m, 0), c) for (m, _), c in f.rename_into(self.context).terms)
+        fv = f.rename_into(self.context).terms
         return kernel.mul_vec_poly(vec, fv, self.rel.order, self.context.p)
 
     def __repr__(self):
@@ -82,19 +83,18 @@ class TowerModule:
     """M over B together with its truncations M_i = M/(t^i M) for
     i = 1..depth; transitions are the identity on generators."""
 
-    __slots__ = ("base", "depth", "levels", "rings")
+    __slots__ = ("base", "depth", "levels")
 
-    def __init__(self, base: PresModule, depth: int, levels, rings):
+    def __init__(self, base: PresModule, depth: int, levels):
         self.base = base
         self.depth = depth
         self.levels = list(levels)
-        self.rings = list(rings)
 
     def level(self, i: int) -> PresModule:
         return self.levels[i - 1]
 
     def ring(self, i: int):
-        return self.rings[i - 1]
+        return self.levels[i - 1].ring
 
 
 def build_tower(M: PresModule, depth: int) -> TowerModule:
@@ -105,15 +105,9 @@ def build_tower(M: PresModule, depth: int) -> TowerModule:
     B = M.ring
     t = B.t()
     levels = []
-    rings = []
     for i in range(1, depth + 1):
-        Ri = truncate(B, i)
-        rows = list(M.rel.gens)
-        for k in range(M.g):
-            rows.append(M.multiply(t**i, M.unit_vec(k)))
-        Mi = PresModule.make(Ri, M.g, rows)
-        levels.append(Mi)
-        rings.append(Ri)
+        rows = list(M.rel.gens) + diagonal_rows([(t**i).terms], M.g)
+        levels.append(PresModule.make(truncate(B, i), M.g, rows))
     for i in range(2, depth + 1):
         finer, coarser = levels[i - 1], levels[i - 2]
         for g in finer.rel.gens:
@@ -122,7 +116,7 @@ def build_tower(M: PresModule, depth: int) -> TowerModule:
                     "transition %d -> %d not well defined on %s"
                     % (i, i - 1, vec_text(M.context, M.g, g))
                 )
-    return TowerModule(M, depth, levels, rings)
+    return TowerModule(M, depth, levels)
 
 
 def default_pool(pd, extra: Sequence[Polynomial] = ()) -> list:
@@ -136,6 +130,12 @@ def default_pool(pd, extra: Sequence[Polynomial] = ()) -> list:
     for f in extra:
         if f not in pool:
             pool.append(f)
+    _check_pool(pd, pool)
+    return pool
+
+
+def _check_pool(pd, pool):
+    """Every pool element must lie outside every component prime."""
     for f in pool:
         blocked = pd.blockers(f)
         if blocked:
@@ -143,7 +143,6 @@ def default_pool(pd, extra: Sequence[Polynomial] = ()) -> list:
                 "pool element %s lies in component prime(s) %s"
                 % (canonical_text(f), ", ".join(str(b + 1) for b in blocked))
             )
-    return pool
 
 
 class QNFiltration:
@@ -186,13 +185,7 @@ def _torsion_closure(rel_or_q: SubmoduleBasis, pool, budget=None) -> SubmoduleBa
 def q_filtration(tower: TowerModule, pd, pool: Sequence[Polynomial]) -> QNFiltration:
     if not pool:
         raise TowerError("q_filtration needs a non-empty pool")
-    for f in pool:
-        blocked = pd.blockers(f)
-        if blocked:
-            raise RingError(
-                "pool element %s lies in component prime(s) %s"
-                % (canonical_text(f), ", ".join(str(b + 1) for b in blocked))
-            )
+    _check_pool(pd, pool)
     Qs, Ns, certs, certified = [], [], [], []
     exp_cap = tower.depth + 2
     for i in range(1, tower.depth + 1):
@@ -290,10 +283,7 @@ def verify_tower_laws(tower: TowerModule, pd, f_loc: Polynomial, pool: Optional[
             hit = False
             for j in range(pd.count):
                 Pj = pd.prime_basis(j, Mi.ring)
-                if all(
-                    Pj.contains(tuple(((m, 0), c) for (m, _), c in gv))
-                    for gv in ann.visible_gens()
-                ):
+                if all(Pj.contains(gv) for gv in ann.visible_gens()):
                     hit = True
                     break
             if not hit:
@@ -387,16 +377,13 @@ def symbolic_containment_bound(
         raise TowerError("need one separator per component prime")
     ctx = M.context
     t = M.ring.t()
-    tc_basis = M.span([M.multiply(t**c, M.unit_vec(k)) for k in range(M.g)])
+    tc_basis = M.span(diagonal_rows([(t**c).terms], M.g))
     witness = None
     for n in range(1, n_max + 1):
         T = None
         for j in range(pd.count):
-            rows = []
-            for q in ideal_power_gens([g.rename_into(ctx) for g in pd.prime_gens[j]], n):
-                for k in range(M.g):
-                    rows.append(M.multiply(q, M.unit_vec(k)))
-            PnM = M.span(rows)
+            powers = ideal_power_gens([g.rename_into(ctx) for g in pd.prime_gens[j]], n)
+            PnM = M.span(diagonal_rows([q.terms for q in powers], M.g))
             Sj = saturate(PnM, seps[j].rename_into(ctx))[0]
             T = Sj if T is None else submodule_intersect(T, Sj)
         witness = next((gv for gv in T.gens if not tc_basis.contains(gv)), None)

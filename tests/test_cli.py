@@ -52,20 +52,48 @@ class TestExitCodes:
         assert code == 3
         assert str(p) in err and "primes" in err
 
-    @pytest.mark.parametrize("section, key, value, keypath", [
-        ("ring", "vars", "xyt", "ring.vars"),
-        ("ring", "vars", ["x", "", "t"], "ring.vars[1]"),
-        (None, "modules", "abc", "modules"),
-        ("problem", "m1", ["M"], "problem.m1"),
-        ("ring", "relations", ["x^3000000000000000000000*y"], "ring"),
+    SOLVE = ("solve", "a2-ideal-xy", "--depth", "2")
+    CERTIFY = ("certify", "a2-ideal-xy", "--candidate", "I")
+
+    # (command, instance), path of the section holding the key (None for
+    # the top level), key, hostile value, key path the message names
+    @pytest.mark.parametrize("command, section, key, value, keypath", [
+        pytest.param(SOLVE, ("ring",), "vars", "xyt", "ring.vars",
+                     id="ring-vars-xyt-ring.vars"),
+        pytest.param(SOLVE, ("ring",), "vars", ["x", "", "t"], "ring.vars[1]",
+                     id="ring-vars-value1-ring.vars[1]"),
+        pytest.param(SOLVE, None, "modules", "abc", "modules",
+                     id="None-modules-abc-modules"),
+        pytest.param(SOLVE, ("problem",), "m1", ["M"], "problem.m1",
+                     id="problem-m1-value3-problem.m1"),
+        pytest.param(SOLVE, ("ring",), "relations", ["x^3000000000000000000000*y"], "ring",
+                     id="ring-relations-value4-ring"),
+        (CERTIFY, None, "candidates", "I", "candidates"),
+        (CERTIFY, None, "candidates", ["I"], "candidates"),
+        (("symbolic-power", "a1-symbolic"), None, "symbolic", [1], "symbolic"),
+        (("symbolic-power", "a1-symbolic"), None, "symbolic", {"prime": "1", "n": 2},
+         "symbolic.prime"),
+        (("solve", "a2-ideal-xy"), ("config",), "depth", True, "config.depth"),
+        (SOLVE, ("config", "d_schedule"), 0, True, "config.d_schedule"),
+        (("solve", "a1-partial-fractions"), ("modules", "R"), "generators", True,
+         "modules.R.generators"),
+        (SOLVE, ("problem",), "rank", True, "problem.rank"),
+        (CERTIFY, ("candidates", "I", "sections", 0), "da", True, "candidates.I.sections[0].da"),
+        (CERTIFY, ("candidates", "I", "sections", 1), "db", True, "candidates.I.sections[1].db"),
+        (("tower-verify", "xm-tn"), ("tower",), "depth", True, "tower.depth"),
+        (SOLVE, ("config",), "connected", "no", "config.connected"),
     ])
-    def test_hostile_field_exits_3_naming_it(self, capsys, tmp_path, section, key, value, keypath):
-        with open(bundled_path("a2-ideal-xy")) as fh:
+    def test_hostile_field_exits_3_naming_it(self, capsys, tmp_path, command, section, key, value,
+                                             keypath):
+        with open(bundled_path(command[1])) as fh:
             data = json.load(fh)
-        (data[section] if section else data)[key] = value
+        target = data
+        for k in section or ():
+            target = target[k]
+        target[key] = value
         p = tmp_path / "hostile.json"
         p.write_text(json.dumps(data))
-        code, out, err = run(capsys, "solve", str(p), "--depth", "2")
+        code, out, err = run(capsys, command[0], str(p), *command[2:])
         assert code == 3
         assert out == ""
         assert "%s: %s: " % (p, keypath) in err

@@ -488,7 +488,7 @@ def reference_syzygy_project(main, aux, ctx, rank, ring_rels, order):
     outside the tags are cut down to the main tags and reduced again
     under `order`."""
     p = ctx.p
-    full = list(main) + list(aux) + engine._relation_rows(ring_rels, rank)
+    full = list(main) + list(aux) + engine.diagonal_rows(ring_rels, rank)
     one = kernel.mono_one(ctx.nvars)
     ext = [v + (((one, rank + i), ctx.field.one),) for i, v in enumerate(full)]
     ext_order = (order[0], order[1], (0,) * rank + (1,) * len(full))

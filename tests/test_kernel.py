@@ -1,8 +1,8 @@
-"""The kernel's reducer (`_kernel_py.nf_vec`, over packed terms) must
+"""The kernel's reducer (`kernel.nf_vec`, over packed terms) must
 return exactly what the merge-based reducer it replaced returns, and
-its S-vector (`_kernel_py.spair_vec`) exactly the sum of the two whole
+its S-vector (`kernel.spair_vec`) exactly the sum of the two whole
 scaled vectors: the same terms in the same order, with the same
-coefficients.  The packed terms themselves (`_kernel_py.Layout`) must
+coefficients.  The packed terms themselves (`kernel.Layout`) must
 sort as term_sortkey sorts, multiply by adding and divide by a mask
 test."""
 
@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from formalpatch import _kernel_py as kpy
+from formalpatch import kernel as kpy
 
 # Three variables; ranks up to 3 (the position grouping covers positions
 # 0..2).
