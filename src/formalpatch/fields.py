@@ -31,10 +31,6 @@ class Field:
     p: int
 
     @property
-    def zero(self):
-        raise NotImplementedError
-
-    @property
     def one(self):
         raise NotImplementedError
 
@@ -57,10 +53,6 @@ class Field:
 
 class Rationals(Field):
     p = 0
-
-    @property
-    def zero(self):
-        return Fraction(0)
 
     @property
     def one(self):
@@ -87,10 +79,6 @@ class PrimeField(Field):
         self.p = p
 
     @property
-    def zero(self):
-        return 0
-
-    @property
     def one(self):
         return 1 % self.p
 
@@ -108,13 +96,3 @@ class PrimeField(Field):
 
 
 QQ = Rationals()
-
-
-def field_from_dict(entry) -> Field:
-    """Field from an instance-file fragment: {"kind": "Q"} or {"kind": "Fp", "p": 7}."""
-    kind = entry.get("kind")
-    if kind == "Q":
-        return QQ
-    if kind == "Fp":
-        return PrimeField(int(entry["p"]))
-    raise ValueError("unknown field kind %r" % (kind,))

@@ -32,12 +32,7 @@ from formalpatch.engine import (
 )
 from formalpatch.poly import Polynomial, canonical_text
 from formalpatch.report import Check
-from formalpatch.rings import (
-    BaseRing,
-    PrimeData,
-    fiber_codimension,
-    truncate,
-)
+from formalpatch.rings import PrimeData, Ring, fiber_codimension, truncate
 from formalpatch.towers import PresModule, _torsion_closure, build_tower, default_pool
 
 
@@ -65,7 +60,7 @@ class OpenConfig:
         return self.f1 * self.f2
 
 
-def make_config(B: BaseRing, pd: PrimeData, f1: Polynomial, f2: Polynomial, depth: int,
+def make_config(B: Ring, pd: PrimeData, f1: Polynomial, f2: Polynomial, depth: int,
                 declared_connected: bool = False) -> OpenConfig:
     if depth < 1:
         raise PatchError("depth must be at least 1")
@@ -92,7 +87,7 @@ def make_config(B: BaseRing, pd: PrimeData, f1: Polynomial, f2: Polynomial, dept
     return OpenConfig(B, pd, f1, f2, depth, warnings)
 
 
-def choose_codim2_cover(B: BaseRing, pd: PrimeData, pool: Sequence[Polynomial]):
+def choose_codim2_cover(B: Ring, pd: PrimeData, pool: Sequence[Polynomial]):
     """First pool pair (ordered scan, repeats allowed) whose members
     avoid every component and intersection prime and cut each component
     in codimension at least two."""
@@ -152,13 +147,14 @@ def _join_pair(a_vec, b_vec, g1):
 
 class PatchProblem:
     """Saturated-coordinate patching data: presentations of M_1, M_2,
-    M_0 over B, gluing matrices over B, and per-level caches."""
+    M_0 over B and the chart each lives on, gluing matrices over B, and
+    per-level caches."""
 
-    def __init__(self, config, g1, g2, g0, rows1, rows2, rows0, alpha1, alpha2,
-                 expected_rank=None):
+    def __init__(self, config, modules, alpha1, alpha2, expected_rank=None):
         self.config = config
-        self.g1, self.g2, self.g0 = g1, g2, g0
-        self.rel_rows = (rows1, rows2, rows0)
+        self.modules = modules  # {1: M_1, 2: M_2, 0: M_0}, PresModules over B
+        self.charts = {1: config.f1, 2: config.f2, 0: config.f0()}
+        self.g1, self.g2, self.g0 = (modules[e].g for e in (1, 2, 0))
         self.alpha1 = alpha1  # g1 rows, each a vec of rank g0
         self.alpha2 = alpha2
         self.expected_rank = expected_rank
@@ -181,19 +177,14 @@ class PatchProblem:
 
     # -- saturated relation modules -----------------------------------
     def satrel(self, e: int, level: Optional[int]) -> SubmoduleBasis:
-        """Relations of M_e in saturated coordinates over B (level
-        None) or B_i; e = 0 is saturated at f1*f2."""
+        """Relations of M_e over B (level None), or of M_e/t^iM_e over
+        B_i, saturated at the chart f_e; f_0 = f1*f2."""
         key = (e, level)
         if key not in self._satrel:
-            g = {1: self.g1, 2: self.g2, 0: self.g0}[e]
-            f = {1: self.config.f1, 2: self.config.f2, 0: self.config.f0()}[e]
-            rows = list(self.rel_rows[{1: 0, 2: 1, 0: 2}[e]])
-            R = self.ring_at(level)
-            ctx = self.base.context
+            M = self.modules[e]
             if level is not None:
-                rows += diagonal_rows([(self.base.t() ** level).terms], g)
-            basis = submodule(rows or [()], ctx, g, ring_rels=R.rels_vecs)
-            self._satrel[key] = saturate(basis, f)[0]
+                M = M.over(self.ring_at(level))
+            self._satrel[key] = saturate(M.rel, self.charts[e])[0]
         return self._satrel[key]
 
     def zero_pairs(self, level: Optional[int]) -> SubmoduleBasis:
@@ -343,12 +334,13 @@ def pose_problem(config, module1, module2, module0, alpha1_matrix, alpha2_matrix
     a2 = _rows_of_matrix(ctx, g0, alpha2_matrix)
     if len(a1) != g1 or len(a2) != g2:
         raise PatchError("gluing matrix row count does not match generator count")
-    problem = PatchProblem(config, g1, g2, g0, tuple(rows1), tuple(rows2), tuple(rows0),
-                           tuple(a1), tuple(a2), expected_rank)
+    modules = {e: PresModule.make(config.base, g, rows)
+               for e, g, rows in ((1, g1, rows1), (2, g2, rows2), (0, g0, rows0))}
+    problem = PatchProblem(config, modules, tuple(a1), tuple(a2), expected_rank)
     pool = list(pool) if pool else _default_pool(config)
     f0 = config.f0()
 
-    for e, rows, alpha, g in ((1, rows1, a1, g1), (2, rows2, a2, g2)):
+    for e, rows, g in ((1, rows1, g1), (2, rows2, g2)):
         for i in range(1, config.depth + 1):
             S0 = problem.satrel(0, i)
             # well-definedness: relations map to zero in M_0
@@ -433,12 +425,16 @@ class PatchSolution:
         self.trace = trace
         self.flat_verdict = flat_verdict
 
+    def own_sections(self):
+        """The sections as candidates (a, D, b, D), D the denominator."""
+        D = self.denominator
+        return [(a, D, b, D) for a, b in (_split_pair(s, self.problem.g1) for s in self.sections)]
+
     def section_texts(self):
         ctx = self.problem.base.context
         out = []
         f1, f2 = self.problem.config.f1, self.problem.config.f2
-        for s in self.sections:
-            a, b = _split_pair(s, self.problem.g1)
+        for a, _, b, _ in self.own_sections():
             out.append(
                 "(%s)%s ~ (%s)%s"
                 % (vec_text(ctx, self.problem.g1, a), _den_text(f1, self.denominator),
@@ -513,12 +509,12 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
     ctx = problem.base.context
     base_mod = _pair_presentation(problem, sections)
     tower = build_tower(base_mod, cfg.depth)
+    sol = PatchSolution(problem, None, canonical, sections, base_mod, tower, None, trace,
+                        "NOT-CHECKED")
 
     pool = _default_pool(cfg)
     # gamma span equality in both coordinates and diagram commutation
-    own = [(a, canonical, b, canonical)
-           for a, b in (_split_pair(s, problem.g1) for s in sections)]
-    records = certify_solution(problem, own)
+    records = certify_solution(problem, sol.own_sections())
     for i in levels:
         # the level fiber product is exactly the tower's level module:
         # surjectivity is span equality, injectivity is kernel containment
@@ -544,10 +540,9 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
     sol_sats = {i: tower.level(i).rel for i in levels}
     records.extend(_torsion_records(problem, sol_sats, "solution", pool))
 
-    flat_verdict = "NOT-CHECKED"
     if problem.expected_rank is not None:
         fl = flatness_certificate(base_mod, problem.expected_rank)
-        flat_verdict = fl.verdict
+        sol.flat_verdict = fl.verdict
         if fl.verdict == "FLAT":
             records.append(Check("flatness", 0, "PASS", "FLAT"))
         else:
@@ -558,13 +553,12 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
               "bounds %d and %d agree; canonical bound %d" % (stabilized_at[0], D_stab, canonical))
     )
 
-    status = "PASS" if all(
+    sol.status = "PASS" if all(
         r.verdict in ("PASS", "CERTIFIED-AT-DEPTH") for r in records if r.name != "flatness"
     ) else "FAIL"
     records.sort(key=lambda r: (r.name, r.level))
-    return PatchSolution(
-        problem, status, canonical, sections, base_mod, tower, records, trace, flat_verdict
-    )
+    sol.records = records
+    return sol
 
 
 def _pair_presentation(problem, pairs) -> PresModule:

@@ -163,11 +163,7 @@ def _repro_flat_free(rid):
     inst, _cfg, prob, sol, rep = _solved(rid, denominator=False)
     rep.add(*_rec(sol.flat_verdict == "FLAT", "flatness", 0,
                   "Fitting signature ((0), (1))", sol.flat_verdict))
-    own = [
-        (a, sol.denominator, b, sol.denominator)
-        for (a, b) in [patch._split_pair(s, prob.g1) for s in sol.sections]
-    ]
-    self_check = patch.check_flat_uniqueness(prob, sol, own, 1)
+    self_check = patch.check_flat_uniqueness(prob, sol, sol.own_sections(), 1)
     rep.add(*_rec(self_check["verdict"] == "EQUAL", "flat-uniqueness-self", 0,
                   "EQUAL", str(self_check)))
     cand, rank = inst.candidate("I")

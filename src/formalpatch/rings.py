@@ -1,7 +1,7 @@
-"""Presented base rings B = k[x..., t]/J, their truncations B/(t^i),
-basic-open localizations, declared component-prime data, prime
-avoidance, generator repair, symbolic powers, and the leading-term
-dimension counts used by the cover checks.
+"""Presented rings: one `Ring` type for the base ring B = k[x..., t]/J,
+its truncations B/(t^i) and its basic-open localizations; declared
+component-prime data, prime avoidance, generator repair, symbolic
+powers, and the leading-term dimension counts used by the cover checks.
 
 Primality of declared primes is an instance attribute, not something
 this layer proves; everything certifiable (t-membership, separator
@@ -11,7 +11,7 @@ checked at construction time.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
 from formalpatch.engine import (
@@ -35,22 +35,39 @@ def _ideal(polys, context, rels=(), order=None):
     return submodule(vecs, context, 1, ring_rels=rels, order=order)
 
 
-class BaseRing:
-    """k[vars, t]/J with t certified regular mod J and J proper."""
+class Ring:
+    """A presented ring, in one of three forms:
 
-    __slots__ = ("context", "J")
+    - the base ring B = k[vars, t]/J with t certified regular mod J and
+      J proper (`under` None, `level` None);
+    - the truncation B/(t^i), t nilpotent of order exactly i, certified
+      (`under` B, `level` i);
+    - the basic-open localization R[f^{-1}] presented by an adjoined
+      inverse u with u*f = 1 (`under` R, `level` R's, `inverted`
+      ((f, u),)).  The adjoined variable is the greatest; eliminating
+      it contracts extended ideals back to the under ring.
 
-    def __init__(self, context: PolyContext, J: SubmoduleBasis):
+    Build rings only through make_base_ring, truncate and localize.
+    """
+
+    __slots__ = ("context", "rels", "level", "under", "inverted")
+
+    def __init__(self, context: PolyContext, rels: SubmoduleBasis, level=None, under=None,
+                 inverted=()):
         self.context = context
-        self.J = J
+        self.rels = rels
+        self.level = level
+        self.under = under
+        self.inverted = inverted
 
     @property
     def rels_vecs(self):
-        return self.J.gens
+        return self.rels.gens
 
     @property
-    def level(self):
-        return None
+    def trivial(self) -> bool:
+        """Is this a localization at 1?"""
+        return any(f == Polynomial.one(f.context) for f, _ in self.inverted)
 
     def t(self) -> Polynomial:
         return Polynomial.var(self.context, self.context.tvar)
@@ -58,24 +75,37 @@ class BaseRing:
     def ideal(self, polys) -> SubmoduleBasis:
         return _ideal(polys, self.context, self.rels_vecs)
 
+    def lift_vec(self, vec):
+        return _lift_prepend(vec, self.context.ninv - self.under.context.ninv)
+
+    def contract(self, basis: SubmoduleBasis, target_rels=None) -> SubmoduleBasis:
+        """Contract a submodule over this localization down to the under ring."""
+        k = self.context.ninv - self.under.context.ninv
+        rels = self.under.rels_vecs if target_rels is None else target_rels
+        return contract_prefix(basis, k, rels)
+
     def describe(self) -> str:
+        if self.inverted:
+            fs = ", ".join(canonical_text(f) for f, _ in self.inverted)
+            return "%s[(%s)^-1]" % (self.under.describe(), fs)
+        if self.under is not None:
+            return "%s mod t^%d" % (self.under.describe(), self.level)
         rels = ", ".join(
-            canonical_text(Polynomial(self.context, g)) for g in self.J.visible_gens()
+            canonical_text(Polynomial(self.context, g)) for g in self.rels.visible_gens()
         )
         return "k[%s]%s" % (", ".join(self.context.vars), " / (%s)" % rels if rels else "")
 
+    def _key(self):
+        return (self.under, self.level, self.context, self.rels.gens)
+
     def __eq__(self, other):
-        return (
-            isinstance(other, BaseRing)
-            and self.context == other.context
-            and self.J.gens == other.J.gens
-        )
+        return isinstance(other, Ring) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.context, self.J.gens))
+        return hash(self._key())
 
 
-def make_base_ring(field, varnames: Sequence[str], relation_texts: Sequence[str], tname: str) -> BaseRing:
+def make_base_ring(field, varnames: Sequence[str], relation_texts: Sequence[str], tname: str) -> Ring:
     if tname not in varnames:
         raise RingError("distinguished variable %r is not among the ring variables" % tname)
     context = PolyContext(field, varnames, tvar=tname)
@@ -93,115 +123,21 @@ def make_base_ring(field, varnames: Sequence[str], relation_texts: Sequence[str]
                 raise RingError(
                     "t is a zero-divisor mod J: (J : t) contains %s outside J" % witness
                 )
-    return BaseRing(context, J)
+    return Ring(context, J)
 
 
-class TruncatedRing:
-    """B/(t^i); t nilpotent of order exactly i, certified."""
-
-    __slots__ = ("base", "level", "rels")
-
-    def __init__(self, base: BaseRing, level: int, rels: SubmoduleBasis):
-        self.base = base
-        self.level = level
-        self.rels = rels
-
-    @property
-    def context(self):
-        return self.base.context
-
-    @property
-    def rels_vecs(self):
-        return self.rels.gens
-
-    def t(self) -> Polynomial:
-        return self.base.t()
-
-    def ideal(self, polys) -> SubmoduleBasis:
-        return _ideal(polys, self.context, self.rels_vecs)
-
-    def describe(self) -> str:
-        return "%s mod t^%d" % (self.base.describe(), self.level)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedRing)
-            and self.base == other.base
-            and self.level == other.level
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.level))
-
-
-def truncate(B: BaseRing, i: int) -> TruncatedRing:
+def truncate(B: Ring, i: int) -> Ring:
     if i < 1:
         raise RingError("truncation level must be at least 1, got %d" % i)
     t = B.t()
-    rels = _ideal([Polynomial(B.context, g) for g in B.J.gens] + [t**i], B.context)
-    if i >= 1:
-        probe = vec_of_polys([t ** (i - 1)])
-        if rels.contains(probe):
-            raise RingError("degenerate truncation: t^%d already vanishes at level %d" % (i - 1, i))
-    return TruncatedRing(B, i, rels)
+    rels = _ideal([Polynomial(B.context, g) for g in B.rels_vecs] + [t**i], B.context)
+    probe = vec_of_polys([t ** (i - 1)])
+    if rels.contains(probe):
+        raise RingError("degenerate truncation: t^%d already vanishes at level %d" % (i - 1, i))
+    return Ring(B.context, rels, i, B)
 
 
-class LocalizedRing:
-    """under[f^{-1}] presented by an adjoined inverse u with u*f = 1.
-
-    The adjoined variable is the greatest; eliminating it contracts
-    extended ideals back to the under ring.
-    """
-
-    __slots__ = ("under", "inverted", "context", "rels", "trivial")
-
-    def __init__(self, under, inverted, context, rels, trivial):
-        self.under = under
-        self.inverted = inverted
-        self.context = context
-        self.rels = rels
-        self.trivial = trivial
-
-    @property
-    def level(self):
-        return self.under.level
-
-    @property
-    def rels_vecs(self):
-        return self.rels.gens
-
-    def t(self) -> Polynomial:
-        return Polynomial.var(self.context, self.context.tvar)
-
-    def ideal(self, polys) -> SubmoduleBasis:
-        return _ideal(polys, self.context, self.rels_vecs)
-
-    def lift_vec(self, vec):
-        return _lift_prepend(vec, self.context.ninv - self.under.context.ninv)
-
-    def contract(self, basis: SubmoduleBasis, target_rels=None) -> SubmoduleBasis:
-        """Contract a submodule over this ring down to the under ring."""
-        k = self.context.ninv - self.under.context.ninv
-        rels = self.under.rels_vecs if target_rels is None else target_rels
-        return contract_prefix(basis, k, rels)
-
-    def describe(self) -> str:
-        fs = ", ".join(canonical_text(f) for f, _ in self.inverted)
-        return "%s[(%s)^-1]" % (self.under.describe(), fs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LocalizedRing)
-            and self.under == other.under
-            and self.context == other.context
-            and self.rels.gens == other.rels.gens
-        )
-
-    def __hash__(self):
-        return hash((self.under, self.context, self.rels.gens))
-
-
-def localize(R, f: Polynomial, pd: Optional["PrimeData"] = None) -> LocalizedRing:
+def localize(R: Ring, f: Polynomial, pd: Optional["PrimeData"] = None) -> Ring:
     if f.is_zero:
         raise RingError("cannot invert zero")
     if pd is not None:
@@ -216,8 +152,7 @@ def localize(R, f: Polynomial, pd: Optional["PrimeData"] = None) -> LocalizedRin
     flift = f.rename_into(context)
     rel_polys = [Polynomial(context, _lift_prepend(g, 1)) for g in R.rels_vecs]
     rels = _ideal(rel_polys + [u * flift - 1], context)
-    trivial = f == Polynomial.one(f.context)
-    return LocalizedRing(R, ((f, uname),), context, rels, trivial)
+    return Ring(context, rels, R.level, R, ((f, uname),))
 
 
 class PrimeData:
@@ -239,7 +174,7 @@ class PrimeData:
 
     def prime_basis(self, j: int, ringlike=None) -> SubmoduleBasis:
         R = ringlike if ringlike is not None else self.ring
-        key = (j, id(R.__class__), R.context, R.rels_vecs)
+        key = (j, R.context, R.rels_vecs)
         if key not in self._bases:
             gens = [g.rename_into(R.context) for g in self.prime_gens[j]]
             self._bases[key] = _ideal(gens, R.context, R.rels_vecs)
@@ -258,7 +193,7 @@ class PrimeData:
 
 
 def validate_prime_data(
-    B: BaseRing,
+    B: Ring,
     primes: Sequence[Sequence[Polynomial]],
     separators: Sequence[Polynomial],
     intersections: Sequence[Sequence[Polynomial]] = (),
@@ -372,11 +307,15 @@ def symbolic_power(pd: PrimeData, j: int, n: int, separator: Optional[Polynomial
 
 
 def ideal_power_gens(gens: Sequence[Polynomial], n: int) -> list:
-    """Generators of (gens)^n: every n-fold product, the first factor
-    varying slowest."""
-    power = list(gens)
-    for _ in range(n - 1):
-        power = [a * b for a in power for b in gens]
+    """Generators of (gens)^n: the product of each multiset of n
+    generators, taken once, in combinations_with_replacement order;
+    C(n + k - 1, n) products for k generators."""
+    power = []
+    for factors in combinations_with_replacement(gens, n):
+        product = factors[0]
+        for f in factors[1:]:
+            product = product * f
+        power.append(product)
     return power
 
 

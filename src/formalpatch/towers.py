@@ -24,7 +24,7 @@ from formalpatch.engine import (
 )
 from formalpatch.poly import Polynomial, canonical_text
 from formalpatch.report import Check
-from formalpatch.rings import BaseRing, RingError, ideal_power_gens, localize, truncate
+from formalpatch.rings import RingError, ideal_power_gens, localize, truncate
 
 
 class TowerError(RuntimeError):
@@ -71,6 +71,11 @@ class PresModule:
     def unit_vec(self, k: int):
         return unit_vec(self.context, k)
 
+    def over(self, R) -> "PresModule":
+        """M/t^iM over R = B/(t^i), for this module M over B: M's
+        relations over R, whose own relations bring in t^i."""
+        return PresModule.make(R, self.g, self.rel.gens)
+
     def multiply(self, f: Polynomial, vec):
         fv = f.rename_into(self.context).terms
         return kernel.mul_vec_poly(vec, fv, self.rel.order, self.context.p)
@@ -100,14 +105,9 @@ class TowerModule:
 def build_tower(M: PresModule, depth: int) -> TowerModule:
     if depth < 1:
         raise TowerError("tower depth must be at least 1")
-    if not isinstance(M.ring, BaseRing):
+    if M.ring.under is not None:
         raise TowerError("towers are built from a module over the base ring")
-    B = M.ring
-    t = B.t()
-    levels = []
-    for i in range(1, depth + 1):
-        rows = list(M.rel.gens) + diagonal_rows([(t**i).terms], M.g)
-        levels.append(PresModule.make(truncate(B, i), M.g, rows))
+    levels = [M.over(truncate(M.ring, i)) for i in range(1, depth + 1)]
     for i in range(2, depth + 1):
         finer, coarser = levels[i - 1], levels[i - 2]
         for g in finer.rel.gens:

@@ -221,11 +221,7 @@ def test_criterion_07_flatness_certificates_and_uniqueness(plane, line, a2_solve
     fc3 = patch.flatness_certificate(xmtn, 1)
     assert (fc3.verdict, fc3.fitt_top) == ("NOT-FLAT", "(x, t)")
     prob, sol = a2_solved
-    own = [
-        (a, sol.denominator, b, sol.denominator)
-        for (a, b) in [patch._split_pair(s, prob.g1) for s in sol.sections]
-    ]
-    assert patch.check_flat_uniqueness(prob, sol, own, 1) == {"verdict": "EQUAL", "witness": ""}
+    assert patch.check_flat_uniqueness(prob, sol, sol.own_sections(), 1) == {"verdict": "EQUAL", "witness": ""}
     e1 = vec_of_polys([mk2("1"), mk2("0")])
     e2 = vec_of_polys([mk2("0"), mk2("1")])
     cand_I = [(e1, 0, e1, 0), (e2, 0, e2, 0)]

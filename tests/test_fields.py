@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from formalpatch.fields import QQ, PrimeField, field_from_dict
+from formalpatch.fields import QQ, PrimeField
 
 
 def test_rationals_basics():
     assert QQ.p == 0
-    assert QQ.zero == Fraction(0)
     assert QQ.one == Fraction(1)
     assert QQ.of_ratio(3, 4) == Fraction(3, 4)
     assert QQ.text(Fraction(-3, 4)) == "-3/4"
@@ -32,14 +31,6 @@ def test_prime_field_rejects_composite():
 def test_prime_field_rejects_huge_modulus():
     with pytest.raises(ValueError):
         PrimeField((1 << 31) + 11)
-
-
-def test_field_from_dict():
-    assert field_from_dict({"kind": "Q"}) is QQ
-    F = field_from_dict({"kind": "Fp", "p": 101})
-    assert F.p == 101
-    with pytest.raises(ValueError):
-        field_from_dict({"kind": "R"})
 
 
 def test_field_equality_is_by_characteristic():

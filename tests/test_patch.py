@@ -265,12 +265,44 @@ def test_solver_records_match_certify_on_own_sections(name):
 
     _, prob, schedule = load_instance(bundled_path(name)).patch_setup()
     sol = patch.solve(prob, schedule)
-    D = sol.denominator
-    own = [(a, D, b, D) for a, b in (patch._split_pair(s, prob.g1) for s in sol.sections)]
-    certified = patch.certify_solution(prob, own)
+    certified = patch.certify_solution(prob, sol.own_sections())
     solver = [r for r in sol.records
               if r.name.startswith("gamma-span-") or r.name == "commutation"]
     assert certified and solver == certified
+
+
+@pytest.mark.parametrize(
+    "name", ["a2-ideal-xy", "a1-partial-fractions", "two-planes", "flat-free-a2"]
+)
+def test_chart_swap_identity(name):
+    """Posing the problem again with f1<->f2, m1<->m2 and
+    alpha1<->alpha2 keeps the status, the denominator and the flat
+    verdict, and the swapped sections, swapped back, lie in the
+    original solution's span without escaping it.  The sections
+    themselves may differ: the greedy minimal choice depends on the
+    coordinate order."""
+    import copy
+    import json
+
+    from formalpatch.instance import Instance, bundled_path
+
+    path = bundled_path(name)
+    with open(path) as fh:
+        data = json.load(fh)
+    swapped = copy.deepcopy(data)
+    for section, a, b in (("config", "f1", "f2"), ("problem", "m1", "m2"),
+                          ("problem", "alpha1", "alpha2")):
+        entry = swapped[section]
+        entry[a], entry[b] = entry[b], entry[a]
+    _, prob, schedule = Instance(path, data).patch_setup()
+    _, prob_sw, schedule_sw = Instance(path, swapped).patch_setup()
+    sol = patch.solve(prob, schedule)
+    sol_sw = patch.solve(prob_sw, schedule_sw)
+    assert (sol_sw.status, sol_sw.denominator, sol_sw.flat_verdict) == (
+        sol.status, sol.denominator, sol.flat_verdict)
+    back = [(a, da, b, db) for b, db, a, da in sol_sw.own_sections()]
+    mx = patch.check_maximality(sol, back)
+    assert (mx["verdict"], mx["strict"]) == ("CONTAINED", False)
 
 
 def test_difference_matches_matrix_arithmetic(ideal_problem):
@@ -335,9 +367,5 @@ class TestFlatUniqueness:
     def test_own_output_equal(self, ideal_problem):
         _, _, _, prob = ideal_problem
         sol = patch.solve(prob, [0, 1, 2, 3])
-        cand = [
-            (a, sol.denominator, b, sol.denominator)
-            for (a, b) in [patch._split_pair(s, prob.g1) for s in sol.sections]
-        ]
-        out = patch.check_flat_uniqueness(prob, sol, cand, 1)
+        out = patch.check_flat_uniqueness(prob, sol, sol.own_sections(), 1)
         assert out == {"verdict": "EQUAL", "witness": ""}

@@ -1,6 +1,8 @@
 """Presented rings: bases, truncations, localizations, prime data,
 avoidance, symbolic powers, and fiber dimension counts."""
 
+from math import comb
+
 import pytest
 
 from formalpatch.engine import submodule, vec_of_polys
@@ -9,6 +11,7 @@ from formalpatch.poly import Polynomial, canonical_text, parse_poly
 from formalpatch.rings import (
     RingError,
     fiber_codimension,
+    ideal_power_gens,
     localize,
     lt_ideal_dimension,
     make_base_ring,
@@ -227,6 +230,24 @@ class TestSymbolicPower:
         _, mk, pd = a1
         with pytest.raises(RingError, match="lies in the prime"):
             symbolic_power(pd, 0, 2, separator=mk("x"))
+
+
+    @pytest.mark.parametrize("k, n", [(1, 5), (2, 3), (3, 2), (3, 4)])
+    def test_power_takes_each_multiset_once(self, plane, k, n):
+        _, mk, _ = plane
+        gens = [mk(v) for v in ("x", "y", "t")[:k]]
+        power = ideal_power_gens(gens, n)
+        assert len(power) == comb(n + k - 1, n)
+        assert len({canonical_text(q) for q in power}) == len(power)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_power_basis_matches_all_ordered_products(self, a1, n):
+        B, mk, _ = a1
+        gens = [mk("x"), mk("t"), mk("x + y - 1")]
+        ordered = list(gens)
+        for _ in range(n - 1):
+            ordered = [a * b for a in ordered for b in gens]
+        assert B.ideal(ideal_power_gens(gens, n)).gens == B.ideal(ordered).gens
 
 
 class TestDimensions:

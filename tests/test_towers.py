@@ -4,10 +4,10 @@ bounds for symbolic powers acting on modules."""
 
 import pytest
 
-from formalpatch.engine import vec_of_polys, vec_text
+from formalpatch.engine import diagonal_rows, submodule, vec_of_polys, vec_text
 from formalpatch.fields import QQ
 from formalpatch.poly import canonical_text, parse_poly
-from formalpatch.rings import make_base_ring, validate_prime_data
+from formalpatch.rings import localize, make_base_ring, truncate, validate_prime_data
 from formalpatch.towers import (
     PresModule,
     TowerError,
@@ -73,6 +73,19 @@ class TestBuildTower:
         _, _, _, M = xmtn
         with pytest.raises(TowerError, match="at least 1"):
             build_tower(M, 0)
+
+    def test_needs_a_module_over_the_base_ring(self, line):
+        B, mk, _ = line
+        for R in (truncate(B, 2), localize(B, mk("x"))):
+            with pytest.raises(TowerError, match="over the base ring"):
+                build_tower(PresModule.make(R, 1), 2)
+
+    def test_over_is_the_module_plus_t_power_rows(self, xmtn):
+        B, mk, _, M = xmtn
+        for i in (1, 2, 3):
+            rows = list(M.rel.gens) + diagonal_rows([(mk("t") ** i).terms], 2)
+            by_hand = submodule(rows, B.context, 2, ring_rels=B.rels_vecs)
+            assert M.over(truncate(B, i)).rel.gens == by_hand.gens
 
     def test_x_torsion_of_t_powers(self, xmtn):
         # t^{i-1}*m is nonzero and x-torsion at levels 2, 3, 4
