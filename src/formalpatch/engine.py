@@ -208,7 +208,9 @@ def _buchberger(gens, order, p, rank1, budget, known=0):
 
     The run works on packed terms (kernel.Layout): G's elements are
     packed vecs, also held by one kernel.Reducer that grows with G, and
-    leads and lcms are packed exponents.  Only the result is unpacked.
+    leads and lcms are packed exponents.  Each queued pair keeps its
+    packed lcm term, the heap's tie-break and the S-vector's scale
+    alike.  Only the result is unpacked.
 
     Returns (basis, use): the unique reduced basis, leads descending,
     monic; and (largest S-pair lcm degree, pairs reduced), both over the
@@ -225,7 +227,7 @@ def _buchberger(gens, order, p, rank1, budget, known=0):
     degs = []  # degree of each lead
     sugar = []
     heap = []
-    live = {}  # position -> {queued pair (i, j): its lcm}
+    live = {}  # position -> {queued pair (i, j): its lcm's exponents}
     active = {}  # position -> elements that still form pairs
     counter = 0
     topdeg = 0
@@ -271,7 +273,8 @@ def _buchberger(gens, order, p, rank1, budget, known=0):
             dl = deg(l)
             s = max(sugar[i] + dl - degs[i], sugar[t] + dl - degs[t])
             queued[i, t] = l
-            heapq.heappush(heap, (s, lay.sortkey(lay.term(l, pt)), i, t))
+            lt = lay.term(l, pt)
+            heapq.heappush(heap, (s, lay.sortkey(lt), i, t, lt))
         act[:] = [i for i in act if (leads[i] - mt) & guards]
         act.append(t)
 
@@ -285,7 +288,7 @@ def _buchberger(gens, order, p, rank1, budget, known=0):
         update(len(G) - 1)
 
     while heap:
-        s, _, i, j = heapq.heappop(heap)
+        s, _, i, j, lt = heapq.heappop(heap)
         l = live[lpos[i]].pop((i, j), None)
         if l is None:
             continue
@@ -302,7 +305,7 @@ def _buchberger(gens, order, p, rank1, budget, known=0):
                 "S-pair budget exceeded (%d pairs)" % budget.maxpairs,
                 detail={"pair": (i, j)},
             )
-        sp = kernel.spair_vec(G[i], G[j], lay, p)
+        sp = kernel.spair_vec(G[i], G[j], lay, p, lt)
         h = kernel.nf_vec(sp, R, lay, p)
         if h:
             add(kernel.monic_vec(h, p), max(s, vec_sugar(h)))
@@ -644,17 +647,44 @@ def module_quotient(basis: SubmoduleBasis, f: Polynomial, budget: Optional[Budge
     )
 
 
+def leads_coprime(basis: SubmoduleBasis, lead) -> bool:
+    """Is the monomial `lead` coprime to the lead monomial of every
+    element of basis.gens?  Then every f whose lead monomial under
+    basis.order is `lead` is a nonzerodivisor on F/N, so N : f = N
+    (Eisenbud, Commutative Algebra, section 15): if f*v lies in N for a
+    nonzero v in normal form, then in(f)*in(v) = in(f*v) lies in in(N),
+    as every module order here (TOP, POT, position-grouped) is
+    compatible with multiplication by monomials, so some lead divides
+    in(f)*in(v), hence in(v), which a normal form rules out.  N's
+    relation rows are among basis.gens, so the answer holds over the
+    presented ring.  A False answer proves nothing."""
+    support = [i for i, a in enumerate(lead) if a]
+    return not any(g[0][0][0][i] for g in basis.gens for i in support)
+
+
 def saturate(basis: SubmoduleBasis, f: Polynomial, budget: Optional[Budget] = None):
     """(N : f^infinity, witness): iterated colon until the chain is
-    stationary; the witness is the least e with N:f^e = N:f^{e+1}."""
+    stationary; the witness is the least e with N:f^e = N:f^{e+1}.
+
+    Before each colon the lead-term certificate (leads_coprime) is
+    tried on the current basis; when it holds, the colon would equal
+    that basis, so the chain stops without computing it.  Basis and
+    witness are those of the plain chain; a skipped colon cannot raise
+    BudgetError."""
+    if f.context != basis.context:
+        raise ValueError("mixed contexts")
+    if f.is_zero:
+        raise ValueError("quotient by zero")
+    lead = kernel.canon_vec(f.terms, basis.order, basis.context.p)[0][0][0]
     cur = basis
     e = 0
-    while True:
+    while not leads_coprime(cur, lead):
         nxt = module_quotient(cur, f, budget)
         if nxt.gens == cur.gens:
-            return cur, e
+            break
         cur = nxt
         e += 1
+    return cur, e
 
 
 def saturate_rabinowitsch(basis: SubmoduleBasis, f: Polynomial, budget: Optional[Budget] = None) -> SubmoduleBasis:

@@ -581,24 +581,26 @@ def nf_vec(u, basis, order, p, first=False):
     return tuple(u[:kept]) + tuple([(unpack(t), c) for t, c in done[kept:]])
 
 
-def spair_vec(f, g, order, p):
+def spair_vec(f, g, order, p, lcm=None):
     """S-vector of f and g; leads must sit in the same position.  The
     scaled leads cancel exactly, so only the tails are formed, f's
     scaled by 1/lc(f) and g's by -1/lc(g), and merged.
 
     With a Layout for `order`, f and g are packed vecs and so is the
-    result; otherwise they are tuple vecs."""
+    result; otherwise they are tuple vecs.  A caller that holds the
+    packed lcm term of the two leads (Layout only) passes it as `lcm`."""
     if type(order) is Layout:
-        return _spair(f, g, order, p)
+        return _spair(f, g, order, p, lcm)
     lay = layout(order, len(f[0][0][0]))
     return lay.unpack_vec(_spair(lay.pack_vec(f), lay.pack_vec(g), lay, p))
 
 
-def _spair(f, g, lay, p):
+def _spair(f, g, lay, p, l=None):
     tf, cf = f[0]
     tg, cg = g[0]
-    emask = lay.emask
-    l = lay.term(lay.lcm(tf & emask, tg & emask), lay.pos(tf))
+    if l is None:
+        emask = lay.emask
+        l = lay.term(lay.lcm(tf & emask, tg & emask), lay.pos(tf))
     a = _scaled_tail(f, l - tf, coeff_inv(cf, p), p, False, lay)
     b = _scaled_tail(g, l - tg, coeff_inv(cg, p), p, True, lay)
     # merge the two ascending runs; equal terms add

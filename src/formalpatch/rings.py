@@ -18,6 +18,7 @@ from formalpatch.engine import (
     SubmoduleBasis,
     _lift_prepend,
     contract_prefix,
+    leads_coprime,
     module_quotient,
     saturate,
     submodule,
@@ -115,7 +116,8 @@ def make_base_ring(field, varnames: Sequence[str], relation_texts: Sequence[str]
     if J.contains(one):
         raise RingError("defining relations generate the unit ideal")
     t = Polynomial.var(context, tname)
-    colon = module_quotient(J, t)
+    # t's one term is its lead; leads coprime to it prove (J : t) = J
+    colon = J if leads_coprime(J, t.terms[0][0][0]) else module_quotient(J, t)
     if colon.gens != J.gens:
         for g in colon.gens:
             if not J.contains(g):

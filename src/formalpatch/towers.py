@@ -172,14 +172,16 @@ class QNFiltration:
 
 
 def _torsion_closure(rel_or_q: SubmoduleBasis, pool, budget=None) -> SubmoduleBasis:
+    """N : (f_1 ... f_k)^infinity, by saturating at f_1, ..., f_k in
+    turn.  One round suffices: (N : f^infinity) : g^infinity is
+    N : (fg)^infinity, and that is already saturated at f (and at g):
+    if f*v lies in it, then (fg)^n*f*v lies in N for some n, so does
+    (fg)^(n+1)*v = g*(fg)^n*f*v, and v lies in it too.  The q-closure
+    law of verify_tower_laws checks this by closing again."""
     cur = rel_or_q
-    while True:
-        before = cur.gens
-        for f in pool:
-            flift = f.rename_into(cur.context)
-            cur = saturate(cur, flift, budget)[0]
-        if cur.gens == before:
-            return cur
+    for f in pool:
+        cur = saturate(cur, f.rename_into(cur.context), budget)[0]
+    return cur
 
 
 def q_filtration(tower: TowerModule, pd, pool: Sequence[Polynomial]) -> QNFiltration:

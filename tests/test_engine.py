@@ -18,6 +18,7 @@ from formalpatch.engine import (
     colon_module,
     eliminate,
     groebner_basis,
+    leads_coprime,
     module_quotient,
     normal_form,
     saturate,
@@ -30,7 +31,7 @@ from formalpatch.engine import (
 )
 from formalpatch.fields import QQ, PrimeField
 from formalpatch.instance import bundled_path, load_instance
-from formalpatch.poly import LEX, MonomialOrder, PolyContext, Polynomial, parse_poly
+from formalpatch.poly import LEX, MonomialOrder, PolyContext, Polynomial, block_order, parse_poly
 
 try:
     from hypothesis import given, settings
@@ -269,6 +270,22 @@ def test_groebner_run_count_gate(monkeypatch, capsys):
     assert 0 < len(runs) <= 180
 
 
+def test_colon_count_gate(monkeypatch, capsys):
+    # saturate's lead-term certificate skips the colons that would only
+    # confirm a module already saturated
+    colons = []
+    real = engine.module_quotient
+
+    def counted(*args):
+        colons.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(engine, "module_quotient", counted)
+    assert main(["solve", "a2-ideal-xy", "--depth", "4"]) == 0
+    capsys.readouterr()
+    assert 0 < len(colons) <= 50
+
+
 def test_spair_count_gate(monkeypatch, capsys):
     calls = []
     real = kernel.spair_vec
@@ -346,6 +363,87 @@ def test_rabinowitsch_matches_iterated_colon_over_localized_context():
             continue
         N = submodule([vec_of_polys([g]) for g in gens], ctx, 1)
         assert saturate_rabinowitsch(N, f).gens == saturate(N, f)[0].gens
+
+
+def iterated_colon(N, f):
+    """(N : f^infinity, witness) by the plain chain N, N:f, N:f^2, ...:
+    the reference for engine.saturate's lead-term certificate."""
+    cur, e = N, 0
+    while True:
+        nxt = module_quotient(cur, f)
+        if nxt.gens == cur.gens:
+            return cur, e
+        cur, e = nxt, e + 1
+
+
+def _lead_of(f, basis):
+    return kernel.canon_vec(f.terms, basis.order, basis.context.p)[0][0][0]
+
+
+def _sparse_poly(rng, ctx, nterms, maxexp):
+    """Random poly in a random subset of ctx's variables, so that
+    leads avoid some variables and the certificate can fire."""
+    use = [rng.random() < 0.6 for _ in range(ctx.nvars)]
+    terms = [
+        ((tuple(rng.randrange(maxexp + 1) if u else 0 for u in use), 0),
+         ctx.field.of_ratio(rng.randrange(-9, 10) or 1, rng.randrange(1, 4)))
+        for _ in range(nterms)
+    ]
+    return Polynomial(ctx, terms)
+
+
+@pytest.mark.parametrize("field", [F32003, QQ], ids=["F32003", "QQ"])
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("kind", ["grevlex", "lex", "elimination", "pot", "grouped"])
+def test_lead_certificate_is_sound(field, rank, kind):
+    ctx = PolyContext(field, ["x", "y", "z"])
+    order = {
+        "grevlex": ModuleOrder(),
+        "lex": ModuleOrder(LEX),
+        "elimination": ModuleOrder(block_order(["x"], ["y", "z"])),
+        "pot": ModuleOrder(policy="pot"),
+        "grouped": ModuleOrder(),
+    }[kind]
+    desc = order.descriptor(ctx, tuple(range(rank))[::-1] if kind == "grouped" else ())
+    rng = random.Random("lead-certificate:%r:%d:%s" % (field, rank, kind))
+    fired = grew = 0
+    for _ in range(20):
+        vecs = [
+            vec_of_polys([_sparse_poly(rng, ctx, rng.randrange(1, 3), 1) for _ in range(rank)])
+            for _ in range(rng.randrange(1, 4))
+        ]
+        rels = [vec_of_polys([_sparse_poly(rng, ctx, 2, 2)])] if rng.random() < 0.3 else []
+        N = submodule(vecs, ctx, rank, rels, desc)
+        f = _sparse_poly(rng, ctx, rng.randrange(1, 3), 2)
+        if f.is_zero:
+            continue
+        if leads_coprime(N, _lead_of(f, N)):
+            fired += 1
+            assert module_quotient(N, f).gens == N.gens
+        sat, wit = saturate(N, f)
+        assert (sat, wit) == iterated_colon(N, f)
+        assert saturate_rabinowitsch(N, f).gens == sat.gens
+        grew += wit > 0
+    assert fired and grew
+
+
+def test_lead_certificate_may_miss_a_nonzerodivisor():
+    # x + u avoids both components of V(x*u, x*v, y*u, y*v), so it is a
+    # nonzerodivisor, but its lead x divides the leads x*u and x*v
+    ctx = PolyContext(QQ, ["x", "y", "u", "v", "t"], tvar="t")
+    N = ideal(ctx, "x*u", "x*v", "y*u", "y*v")
+    f = p("x + u", ctx)
+    assert not leads_coprime(N, _lead_of(f, N))
+    assert module_quotient(N, f).gens == N.gens
+    assert saturate(N, f) == (N, 0)
+
+
+def test_saturate_keeps_module_quotient_errors():
+    b = ideal(CTX_T, "x*t")
+    with pytest.raises(ValueError, match="quotient by zero"):
+        saturate(b, Polynomial.zero(CTX_T))
+    with pytest.raises(ValueError, match="mixed contexts"):
+        saturate(b, p("x"))
 
 
 def reference_buchberger(gens, order, p):
