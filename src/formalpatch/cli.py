@@ -23,24 +23,24 @@ from . import patch
 __all__ = ["main"]
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("expected a positive integer, got %d" % value)
-    return value
+def _int_at_least(low, word):
+    """An argparse type: an integer of at least `low`, which `word`
+    names in the error message."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+        if value < low:
+            raise argparse.ArgumentTypeError("expected a %s integer, got %d" % (word, value))
+        return value
+
+    return parse
 
 
-def _nonneg_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("expected a nonnegative integer, got %d" % value)
-    return value
+_positive_int = _int_at_least(1, "positive")
+_nonneg_int = _int_at_least(0, "nonnegative")
 
 
 def build_parser():
@@ -83,7 +83,8 @@ def build_parser():
     report_flags(p)
 
     p = sub.add_parser("repro", help="run a bundled reproduction")
-    p.add_argument("id", metavar="id", help="one of: %s" % ", ".join(sorted(REPRO_IDS)))
+    p.add_argument("id", metavar="id", choices=sorted(REPRO_IDS),
+                   help="one of: %s" % ", ".join(sorted(REPRO_IDS)))
     report_flags(p)
 
     p = sub.add_parser("selftest", help="run the built-in invariant suite")
@@ -249,10 +250,6 @@ def main(argv=None) -> int:
 
     try:
         rep = _DISPATCH[args.command](args)
-    except KeyError as exc:
-        print("error: unknown reproduction id %s; known ids: %s"
-              % (exc, ", ".join(sorted(REPRO_IDS))), file=sys.stderr)
-        return 2
     except InstanceError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3

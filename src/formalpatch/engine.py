@@ -7,8 +7,10 @@ declared ring relations.  Quotient rings are handled by appending the
 relation rows (relation times each unit vector) to every computation;
 there is no separate quotient arithmetic.
 
-Everything below the public wrappers works on the kernel's flat vec
-representation; see formalpatch.kernel for the format.
+Module elements are always the kernel's flat vecs (see
+formalpatch.kernel for the format); vec_of_polys, vec_coords and
+vec_text convert them to and from Polynomials.  The default order is
+the context's own, ctx.order0.
 
 Groebner bases come from one sugar-strategy Buchberger (_buchberger)
 that keeps its pair queue with the update of Gebauer and Moeller (1988):
@@ -17,15 +19,17 @@ as each element joins the basis, criteria M and F, the product criterion
 reduce to zero, and older elements whose lead the new one divides form
 no further pairs.  Only the pairs that survive are reduced and counted.
 A run may start from a reduced basis it extends (SubmoduleBasis.extend,
-syzygy_project over a SubmoduleBasis); that basis forms no pairs of its
-own.
+and syzygy_project, whose aux is always a SubmoduleBasis); that basis
+forms no pairs of its own.
 
 Every Groebner run goes through the basis cache of its PolyContext
 (shared by the contexts derived with prepend_vars / drop_prefix), so a
-basis is computed once per ring family.  Entries record the budget
-their run used (largest S-pair lcm degree, pairs reduced); a hit whose
-use exceeds the caller's budget is rerun, so it raises exactly the
-BudgetError an uncached run would.
+basis is computed once per ring family.  The budget has one source,
+Budget.from_env (FORMALPATCH_BUDGET), read where a run starts or a
+cached run is replayed.  Entries record the budget their run used
+(largest S-pair lcm degree, pairs reduced); a hit whose use exceeds the
+budget in force is rerun, so it raises exactly the BudgetError an
+uncached run would.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from __future__ import annotations
 import heapq
 import os
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from formalpatch import kernel
 from formalpatch.poly import MonomialOrder, PolyContext, Polynomial, canonical_text
@@ -65,9 +69,10 @@ class Budget:
                 "FORMALPATCH_BUDGET must look like 'maxdeg:maxpairs', got %r" % raw
             ) from None
 
-
-def default_budget() -> Budget:
-    return Budget.from_env()
+    def admits(self, use) -> bool:
+        """Does a run that used `use` (largest S-pair lcm degree, pairs
+        reduced) fit this budget?"""
+        return use[0] <= self.maxdeg and use[1] <= self.maxpairs
 
 
 @dataclass(frozen=True)
@@ -90,47 +95,6 @@ class ModuleOrder:
 
 
 TOP_GREVLEX = ModuleOrder()
-
-
-class FreeModuleElement:
-    """A vector of polynomials of fixed length (the ambient rank)."""
-
-    __slots__ = ("context", "rank", "vec")
-
-    def __init__(self, context: PolyContext, rank: int, vec, order=None):
-        self.context = context
-        self.rank = rank
-        self.vec = kernel.canon_vec(vec, order or context.order0, context.p)
-
-    @classmethod
-    def from_polys(cls, coords: Sequence[Polynomial]) -> "FreeModuleElement":
-        if not coords:
-            raise ValueError("empty coordinate vector")
-        ctx = coords[0].context
-        if any(c.context != ctx for c in coords):
-            raise ValueError("mixed contexts in module element")
-        return cls(ctx, len(coords), vec_of_polys(coords))
-
-    def coords(self) -> list:
-        return vec_coords(self.context, self.rank, self.vec)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.vec
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeModuleElement)
-            and self.context == other.context
-            and self.rank == other.rank
-            and self.vec == other.vec
-        )
-
-    def __hash__(self):
-        return hash((self.context, self.rank, self.vec))
-
-    def __repr__(self):
-        return "(" + ", ".join(canonical_text(c) for c in self.coords()) + ")"
 
 
 def vec_of_polys(coords: Sequence[Polynomial]):
@@ -179,10 +143,6 @@ def _monic_gens(gens, order, p):
         if v:
             out.append(kernel.monic_vec(v, p))
     return tuple(out)
-
-
-def _fits(use, budget):
-    return use[0] <= budget.maxdeg and use[1] <= budget.maxpairs
 
 
 def _buchberger(gens, order, p, rank1, budget, known=0):
@@ -334,22 +294,18 @@ def _buchberger(gens, order, p, rank1, budget, known=0):
     return tuple(reduced), (topdeg, counter)
 
 
-def _cached_basis(context, gens, order, rank1, budget, known=0):
+def _cached_basis(context, gens, order, rank1, known=0):
     """(basis, use) of `gens` through the context's basis cache; the
     first `known` gens are a reduced basis (see _buchberger), taken as
     they are.  The key is the ordered canonical input, so a rerun
     replays the same pairs."""
     gens = tuple(gens)
     key = (gens[:known] + _monic_gens(gens[known:], order, context.p), order, rank1, known)
+    budget = Budget.from_env()
     hit = context._cache.get(key)
-    if hit is None or not _fits(hit[1], budget):
+    if hit is None or not budget.admits(hit[1]):
         hit = context._cache[key] = _buchberger(key[0], order, context.p, rank1, budget, known)
     return hit
-
-
-def _reducer_of(vecs, order, context):
-    lay = kernel.layout(order, context.nvars)
-    return kernel.Reducer(lay, context.p, [lay.pack_vec(g) for g in vecs])
 
 
 class SubmoduleBasis:
@@ -375,7 +331,8 @@ class SubmoduleBasis:
         """The kernel.Reducer of gens, built on first use and kept for
         the life of this basis."""
         if self._reducer is None:
-            self._reducer = _reducer_of(self.gens, self.order, self.context)
+            lay = kernel.layout(self.order, self.context.nvars)
+            self._reducer = kernel.Reducer(lay, self.context.p, [lay.pack_vec(g) for g in self.gens])
         return self._reducer
 
     def nf(self, vec):
@@ -387,14 +344,20 @@ class SubmoduleBasis:
         p = self.context.p
         return not kernel.nf_vec(R.layout.canon(vec, p), R, R.layout, p, first=True)
 
-    def extend(self, vecs, budget: Optional[Budget] = None) -> "SubmoduleBasis":
+    def extend(self, vecs) -> "SubmoduleBasis":
         """The submodule plus the span of `vecs`, over the same ring and
         order; this basis seeds the Groebner run, so only pairs with the
         new vectors and what they produce are reduced."""
         gens, _ = _cached_basis(
-            self.context, self.gens + tuple(vecs), self.order, self.rank == 1,
-            budget or default_budget(), len(self.gens),
+            self.context, self.gens + tuple(vecs), self.order, self.rank == 1, len(self.gens)
         )
+        return SubmoduleBasis(self.context, self.rank, self.order, self.ring_rels, gens)
+
+    def zero(self) -> "SubmoduleBasis":
+        """The zero submodule over the same ring, rank and order: the
+        reduced basis of the relation rows alone."""
+        rows = diagonal_rows(self.ring_rels, self.rank)
+        gens = _cached_basis(self.context, rows, self.order, self.rank == 1)[0]
         return SubmoduleBasis(self.context, self.rank, self.order, self.ring_rels, gens)
 
     def contains_basis(self, other: "SubmoduleBasis") -> bool:
@@ -406,9 +369,7 @@ class SubmoduleBasis:
 
     def _ring_rows(self):
         if self._ringrow_reducer is None:
-            rows = diagonal_rows(self.ring_rels, self.rank)
-            basis = _cached_basis(self.context, rows, self.order, self.rank == 1, default_budget())[0]
-            self._ringrow_reducer = _reducer_of(basis, self.order, self.context)
+            self._ringrow_reducer = self.zero().reducer()
         return self._ringrow_reducer
 
     def visible_gens(self):
@@ -440,40 +401,13 @@ class SubmoduleBasis:
         return "SubmoduleBasis[rank %d: %s]" % (self.rank, items)
 
 
-def submodule(
-    vecs,
-    context: PolyContext,
-    rank: int,
-    ring_rels=(),
-    order=None,
-    budget: Optional[Budget] = None,
-) -> SubmoduleBasis:
-    """Reduced basis of the span of `vecs` plus the ring-relation rows."""
-    order = order if order is not None else TOP_GREVLEX.descriptor(context)
-    budget = budget or default_budget()
+def submodule(vecs, context: PolyContext, rank: int, ring_rels=(), order=None) -> SubmoduleBasis:
+    """Reduced basis of the span of `vecs` plus the ring-relation rows,
+    under `order` (default context.order0)."""
+    order = order if order is not None else context.order0
     rows = list(vecs) + diagonal_rows(ring_rels, rank)
-    gb, _ = _cached_basis(context, rows, order, rank == 1, budget)
+    gb, _ = _cached_basis(context, rows, order, rank == 1)
     return SubmoduleBasis(context, rank, order, ring_rels, gb)
-
-
-def groebner_basis(elements: Sequence[FreeModuleElement], order: Optional[ModuleOrder] = None,
-                   ring_rels=(), budget: Optional[Budget] = None) -> SubmoduleBasis:
-    """Public wrapper over FreeModuleElement input."""
-    if not elements:
-        raise ValueError("need at least one generator (possibly zero)")
-    ctx = elements[0].context
-    rank = elements[0].rank
-    for e in elements:
-        if e.context != ctx or e.rank != rank:
-            raise ValueError("generators disagree on ring or ambient rank")
-    desc = (order or TOP_GREVLEX).descriptor(ctx)
-    return submodule([e.vec for e in elements], ctx, rank, ring_rels, desc, budget)
-
-
-def normal_form(element: FreeModuleElement, basis: SubmoduleBasis) -> FreeModuleElement:
-    if element.context != basis.context or element.rank != basis.rank:
-        raise ValueError("element and basis disagree on ring or rank")
-    return FreeModuleElement(basis.context, basis.rank, basis.nf(element.vec), basis.order)
 
 
 def _lift_prepend(vec, k):
@@ -491,80 +425,58 @@ def _uses_vars(vec, indices):
     return any(m[i] for (m, _), _ in vec for i in indices)
 
 
-def syzygy_project(
-    main,
-    aux,
-    context: PolyContext,
-    rank: int,
-    ring_rels=(),
-    order=None,
-    budget: Optional[Budget] = None,
-) -> SubmoduleBasis:
-    """Basis of {c : sum c_i main_i lies in span(aux) + relation rows},
-    a submodule of R^len(main) over the presented ring.
+def syzygy_project(main, aux: SubmoduleBasis) -> SubmoduleBasis:
+    """Basis of {c : sum c_i main_i lies in aux}, a submodule of
+    R^len(main) over aux's presented ring, under aux's order.
 
     The workhorse behind syzygies, colons, module quotients and the
     fiber-product kernel.  Each main_i is tagged with a unit vector in
-    a new coordinate; a basis of the tagged main vectors, aux and the
-    relation rows under a position-elimination order (the rank
-    coordinates above the tags) has, among its elements, a basis of the
-    wanted submodule: those with no term outside the tags.  When
-    `order` groups no positions, these elements are already its reduced
-    basis under `order`; otherwise they are reduced once more.
-
-    `aux` is a sequence of vecs or a SubmoduleBasis over the same ring,
-    rank, order and relations; a basis is used as it is, as the seed of
-    the run (see _buchberger), and its span already holds the relation
-    rows.  Only the projected basis is cached, with the larger use of
-    its runs; the extended basis is not kept.
+    a new coordinate; a basis of the tagged main vectors and aux under
+    a position-elimination order (the rank coordinates above the tags)
+    has, among its elements, a basis of the wanted submodule: those
+    with no term outside the tags.  When the order groups no positions,
+    aux's basis seeds the run (see _buchberger) and those elements are
+    already the reduced basis under aux's order; otherwise the run
+    starts afresh and they are reduced once more.  aux's span holds the
+    relation rows, so the result's does too.  Only the projected basis
+    is cached, with the larger use of its runs; the extended basis is
+    not kept.
     """
-    order = order if order is not None else TOP_GREVLEX.descriptor(context)
-    budget = budget or default_budget()
+    context, rank, order, ring_rels = aux.context, aux.rank, aux.order, aux.ring_rels
     p = context.p
-    ring_rels = tuple(ring_rels)
-    seeded = isinstance(aux, SubmoduleBasis)
-    if seeded:
-        if (aux.context, aux.rank, aux.order, aux.ring_rels) != (context, rank, order, ring_rels):
-            raise ValueError("aux basis must share the ring, rank, order and relations")
-        aux = aux.gens
-    else:
-        aux = tuple(kernel.canon_vec(v, order, p) for v in aux)
     main = tuple(kernel.canon_vec(v, order, p) for v in main)
     nmain = len(main)
-    key = ("syzygy", main, aux, seeded, ring_rels, rank, order)
+    key = ("syzygy", main, aux.gens, ring_rels, rank, order)
+    budget = Budget.from_env()
     hit = context._cache.get(key)
-    if hit is None or not _fits(hit[1], budget):
+    if hit is None or not budget.admits(hit[1]):
         one = kernel.mono_one(context.nvars)
         tagged = [v + (((one, rank + i), context.field.one),) for i, v in enumerate(main)]
         posgroup = (0,) * rank + (1,) * nmain
         ext_order = (order[0], order[1], posgroup)
         # aux is a reduced basis under ext_order too when order groups
         # no positions, for then the two agree on the rank coordinates
-        if seeded and not order[2]:
-            seed = aux
+        if not order[2]:
+            seed = aux.gens
             gens = seed + _monic_gens(tagged, ext_order, p)
         else:
             seed = ()
-            gens = _monic_gens(tagged + list(aux) + diagonal_rows(ring_rels, rank), ext_order, p)
+            gens = _monic_gens(tagged + list(aux.gens), ext_order, p)
         gb, use = _buchberger(gens, ext_order, p, False, budget, len(seed))
         projected = tuple(
             tuple(((m, pos - rank), c) for (m, pos), c in g) for g in gb if g[0][0][1] >= rank
         )
         if order[2]:
-            projected, use2 = _cached_basis(
-                context, projected + tuple(diagonal_rows(ring_rels, nmain)), order, nmain == 1, budget
-            )
+            projected, use2 = _cached_basis(context, projected, order, nmain == 1)
             use = tuple(map(max, use, use2))
         hit = context._cache[key] = projected, use
     return SubmoduleBasis(context, nmain, order, ring_rels, hit[0])
 
 
-def syzygy_basis(basis: SubmoduleBasis, budget: Optional[Budget] = None) -> SubmoduleBasis:
+def syzygy_basis(basis: SubmoduleBasis) -> SubmoduleBasis:
     """Relations among basis.gens (the reduced basis sequence, leads
     descending) over the presented ring."""
-    return syzygy_project(
-        basis.gens, [], basis.context, basis.rank, basis.ring_rels, basis.order, budget
-    )
+    return syzygy_project(basis.gens, basis.zero())
 
 
 def _aux_elimination_order(ctx):
@@ -577,7 +489,7 @@ def _aux_elimination_order(ctx):
     return (((0,),) + blocks, 0, ())
 
 
-def _aux_contraction(gb, like, budget):
+def _aux_contraction(gb, like):
     """The elements of a reduced basis `gb` under _aux_elimination_order
     that are free of the auxiliary variable, stripped of it, as a basis
     over like's ring, rank and order.  They are that reduced basis
@@ -585,17 +497,16 @@ def _aux_contraction(gb, like, budget):
     order restricts to."""
     ctx = like.context
     kept = tuple(_strip_prefix(g, 1) for g in gb if not _uses_vars(g, (0,)))
-    if like.order == TOP_GREVLEX.descriptor(ctx):
+    if like.order == ctx.order0:
         return SubmoduleBasis(ctx, like.rank, like.order, like.ring_rels, kept)
-    return submodule(kept, ctx, like.rank, like.ring_rels, like.order, budget)
+    return submodule(kept, ctx, like.rank, like.ring_rels, like.order)
 
 
-def submodule_intersect(b1: SubmoduleBasis, b2: SubmoduleBasis, budget: Optional[Budget] = None) -> SubmoduleBasis:
+def submodule_intersect(b1: SubmoduleBasis, b2: SubmoduleBasis) -> SubmoduleBasis:
     """N1 cap N2 by the auxiliary-variable elimination construction."""
     if b1.context != b2.context or b1.rank != b2.rank or b1.ring_rels != b2.ring_rels:
         raise ValueError("intersection needs matching ring, rank and relations")
     ctx = b1.context
-    budget = budget or default_budget()
     p = ctx.p
     one = kernel.mono_one(ctx.nvars + 1)
     u = (1,) + (0,) * ctx.nvars
@@ -604,47 +515,36 @@ def submodule_intersect(b1: SubmoduleBasis, b2: SubmoduleBasis, budget: Optional
     one_minus_u = kernel.canon_vec((((one, 0), ctx.field.one), ((u, 0), -ctx.field.one if p == 0 else p - 1)), ext_order, p)
     gens += [kernel.mul_vec_poly(_lift_prepend(v, 1), one_minus_u, ext_order, p) for v in b2.gens]
     gens += [_lift_prepend(row, 1) for row in diagonal_rows(b1.ring_rels, b1.rank)]
-    gb, _ = _cached_basis(ctx, gens, ext_order, b1.rank == 1, budget)
-    return _aux_contraction(gb, b1, budget)
+    gb, _ = _cached_basis(ctx, gens, ext_order, b1.rank == 1)
+    return _aux_contraction(gb, b1)
 
 
-def colon_element(basis: SubmoduleBasis, m_vec, budget: Optional[Budget] = None) -> SubmoduleBasis:
+def colon_element(basis: SubmoduleBasis, m_vec) -> SubmoduleBasis:
     """The ideal {r : r*m in N}; the annihilator when N is the zero
     submodule (relation rows only)."""
-    return syzygy_project(
-        [kernel.canon_vec(m_vec, basis.order, basis.context.p)],
-        basis,
-        basis.context,
-        basis.rank,
-        basis.ring_rels,
-        basis.order,
-        budget,
-    )
+    return syzygy_project([m_vec], basis)
 
 
-def colon_module(basis: SubmoduleBasis, other: SubmoduleBasis, budget: Optional[Budget] = None) -> SubmoduleBasis:
+def colon_module(basis: SubmoduleBasis, other: SubmoduleBasis) -> SubmoduleBasis:
     """The ideal (N : M) = intersection of (N : g) over M's basis."""
     if other.context != basis.context or other.rank != basis.rank:
         raise ValueError("colon needs matching ring and rank")
     out = None
     for g in other.gens:
-        c = colon_element(basis, g, budget)
-        out = c if out is None else submodule_intersect(out, c, budget)
+        c = colon_element(basis, g)
+        out = c if out is None else submodule_intersect(out, c)
     if out is None:
         raise ValueError("colon by the zero module")
     return out
 
 
-def module_quotient(basis: SubmoduleBasis, f: Polynomial, budget: Optional[Budget] = None) -> SubmoduleBasis:
+def module_quotient(basis: SubmoduleBasis, f: Polynomial) -> SubmoduleBasis:
     """The submodule (N : f) = {v : f*v in N}."""
     if f.context != basis.context:
         raise ValueError("mixed contexts")
     if f.is_zero:
         raise ValueError("quotient by zero")
-    return syzygy_project(
-        diagonal_rows([f.terms], basis.rank),
-        basis, basis.context, basis.rank, basis.ring_rels, basis.order, budget,
-    )
+    return syzygy_project(diagonal_rows([f.terms], basis.rank), basis)
 
 
 def leads_coprime(basis: SubmoduleBasis, lead) -> bool:
@@ -662,7 +562,7 @@ def leads_coprime(basis: SubmoduleBasis, lead) -> bool:
     return not any(g[0][0][0][i] for g in basis.gens for i in support)
 
 
-def saturate(basis: SubmoduleBasis, f: Polynomial, budget: Optional[Budget] = None):
+def saturate(basis: SubmoduleBasis, f: Polynomial):
     """(N : f^infinity, witness): iterated colon until the chain is
     stationary; the witness is the least e with N:f^e = N:f^{e+1}.
 
@@ -679,7 +579,7 @@ def saturate(basis: SubmoduleBasis, f: Polynomial, budget: Optional[Budget] = No
     cur = basis
     e = 0
     while not leads_coprime(cur, lead):
-        nxt = module_quotient(cur, f, budget)
+        nxt = module_quotient(cur, f)
         if nxt.gens == cur.gens:
             break
         cur = nxt
@@ -687,11 +587,10 @@ def saturate(basis: SubmoduleBasis, f: Polynomial, budget: Optional[Budget] = No
     return cur, e
 
 
-def saturate_rabinowitsch(basis: SubmoduleBasis, f: Polynomial, budget: Optional[Budget] = None) -> SubmoduleBasis:
+def saturate_rabinowitsch(basis: SubmoduleBasis, f: Polynomial) -> SubmoduleBasis:
     """Same saturation through u*f - 1 adjunction and elimination;
     cross-checked against the iterated-colon route in the test suite."""
     ctx = basis.context
-    budget = budget or default_budget()
     p = ctx.p
     ext_order = _aux_elimination_order(ctx)
     one = kernel.mono_one(ctx.nvars + 1)
@@ -703,38 +602,37 @@ def saturate_rabinowitsch(basis: SubmoduleBasis, f: Polynomial, budget: Optional
         p,
     )
     gens = [_lift_prepend(v, 1) for v in basis.gens] + diagonal_rows([uf_minus_1], basis.rank)
-    gb, _ = _cached_basis(ctx, gens, ext_order, basis.rank == 1, budget)
-    return _aux_contraction(gb, basis, budget)
+    gb, _ = _cached_basis(ctx, gens, ext_order, basis.rank == 1)
+    return _aux_contraction(gb, basis)
 
 
-def eliminate(basis: SubmoduleBasis, var_names, budget: Optional[Budget] = None) -> SubmoduleBasis:
+def eliminate(basis: SubmoduleBasis, var_names) -> SubmoduleBasis:
     """Contraction of N to the subring without `var_names`: recompute
     under a block order making the block greatest, keep block-free
     elements."""
     ctx = basis.context
     if not var_names:
         return basis
-    budget = budget or default_budget()
     block = tuple(ctx.index(v) for v in var_names)
     rest_blocks = tuple(
         tuple(i for i in blk if i not in block) for blk in ctx.default_blocks()
     )
     blocks = (block,) + tuple(b for b in rest_blocks if b)
     elim_order = (blocks, 0, ())
-    gb, _ = _cached_basis(ctx, basis.gens, elim_order, basis.rank == 1, budget)
+    gb, _ = _cached_basis(ctx, basis.gens, elim_order, basis.rank == 1)
     kept = [g for g in gb if not _uses_vars(g, block)]
-    return submodule(kept, ctx, basis.rank, basis.ring_rels, basis.order, budget)
+    return submodule(kept, ctx, basis.rank, basis.ring_rels, basis.order)
 
 
-def contract_prefix(basis: SubmoduleBasis, k: int, target_rels, budget: Optional[Budget] = None) -> SubmoduleBasis:
+def contract_prefix(basis: SubmoduleBasis, k: int, target_rels) -> SubmoduleBasis:
     """Contract to the ring without the first k (adjoined inverse)
     variables; target_rels are the contracted ring's relations."""
     if k == 0:
         return basis
     ctx = basis.context
-    elim = eliminate(basis, ctx.vars[:k], budget)
+    elim = eliminate(basis, ctx.vars[:k])
     target = ctx.drop_prefix(k)
     # ring rows of the extended ring may carry the adjoined variables;
     # only block-free elements survive the contraction
     stripped = [_strip_prefix(g, k) for g in elim.gens if not _uses_vars(g, range(k))]
-    return submodule(stripped or [()], target, basis.rank, target_rels, None, budget)
+    return submodule(stripped or [()], target, basis.rank, target_rels)

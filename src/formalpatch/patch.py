@@ -206,7 +206,7 @@ class PatchProblem:
         ctx = self.base.context
         alpha = self.alpha1 if e == 1 else self.alpha2
         acc = ()
-        order = self.satrel(0, None).order
+        order = ctx.order0
         for (m, pos), c in part_vec:
             term = kernel.scale_vec(alpha[pos], c, m, ctx.p)
             acc = kernel.add_vec(acc, term, order, ctx.p)
@@ -217,7 +217,7 @@ class PatchProblem:
         (a/f1^da, b/f2^db) satisfies the patching condition exactly when
         this lies in the relations of M_0."""
         ctx = self.base.context
-        order = self.satrel(0, None).order
+        order = ctx.order0
         lhs = kernel.mul_vec_poly(
             self._alpha_image(1, a), vec_of_polys([self.config.f2**db]), order, ctx.p
         )
@@ -232,8 +232,7 @@ class PatchProblem:
         ctx = self.base.context
         main = [self.difference(unit_vec(ctx, k), D, (), D) for k in range(self.g1)]
         main += [self.difference((), D, unit_vec(ctx, k), D) for k in range(self.g2)]
-        R = self.ring_at(level)
-        return syzygy_project(main, self.satrel(0, level), ctx, self.g0, ring_rels=R.rels_vecs)
+        return syzygy_project(main, self.satrel(0, level))
 
     def scale_pair_into(self, vec, s: int):
         """(a, b) -> (f1^s a, f2^s b), the denominator-D to D+s embedding."""
@@ -245,7 +244,7 @@ class PatchProblem:
     def scaled_pair(self, a, sa: int, b, sb: int):
         """The pair (f1^sa a, f2^sb b)."""
         ctx = self.base.context
-        order = self.zero_pairs(None).order
+        order = ctx.order0
         a2 = kernel.mul_vec_poly(a, vec_of_polys([self.config.f1**sa]), order, ctx.p)
         b2 = kernel.mul_vec_poly(b, vec_of_polys([self.config.f2**sb]), order, ctx.p)
         return _join_pair(a2, b2, self.g1)
@@ -362,7 +361,7 @@ def pose_problem(config, module1, module2, module0, alpha1_matrix, alpha2_matrix
                     witness="generator %d" % (k + 1),
                 )
             # injectivity: kernel of the alpha map lies in M_e's relations
-            K = syzygy_project(alpha_rows, S0, ctx, g0, ring_rels=problem.ring_at(i).rels_vecs)
+            K = syzygy_project(alpha_rows, S0)
             Se_ext = saturate(problem.satrel(e, i), f0)[0]
             for gv in K.gens:
                 if not Se_ext.contains(gv):
@@ -523,13 +522,7 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
         records.append(Check("level-surjectivity", i, "PASS" if ok else "FAIL"))
         bad = None
         if sections:
-            ker = syzygy_project(
-                sections,
-                problem.zero_pairs(i),
-                ctx,
-                problem.g1 + problem.g2,
-                ring_rels=problem.ring_at(i).rels_vecs,
-            )
+            ker = syzygy_project(sections, problem.zero_pairs(i))
             reli = tower.level(i).rel
             bad = next((gv for gv in ker.gens if not reli.contains(gv)), None)
         records.append(
@@ -567,13 +560,7 @@ def _pair_presentation(problem, pairs) -> PresModule:
     base = problem.base
     if not pairs:
         return PresModule.make(base, 1, [vec_of_polys([Polynomial.one(base.context)])])
-    rel = syzygy_project(
-        pairs,
-        problem.zero_pairs(None),
-        base.context,
-        problem.g1 + problem.g2,
-        ring_rels=base.rels_vecs,
-    )
+    rel = syzygy_project(pairs, problem.zero_pairs(None))
     return PresModule.make(base, len(pairs), rel.gens)
 
 

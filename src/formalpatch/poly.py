@@ -193,9 +193,6 @@ class Monomial:
     def __mul__(self, other):
         return Monomial(self.context, kernel.mono_mul(self.exps, other.exps))
 
-    def divides(self, other) -> bool:
-        return kernel.mono_divides(self.exps, other.exps)
-
     def lcm(self, other):
         return Monomial(self.context, kernel.mono_lcm(self.exps, other.exps))
 

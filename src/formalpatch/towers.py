@@ -171,7 +171,7 @@ class QNFiltration:
         return "CERTIFIED" if all(self.certified) else "LOWER-BOUND"
 
 
-def _torsion_closure(rel_or_q: SubmoduleBasis, pool, budget=None) -> SubmoduleBasis:
+def _torsion_closure(rel_or_q: SubmoduleBasis, pool) -> SubmoduleBasis:
     """N : (f_1 ... f_k)^infinity, by saturating at f_1, ..., f_k in
     turn.  One round suffices: (N : f^infinity) : g^infinity is
     N : (fg)^infinity, and that is already saturated at f (and at g):
@@ -180,7 +180,7 @@ def _torsion_closure(rel_or_q: SubmoduleBasis, pool, budget=None) -> SubmoduleBa
     law of verify_tower_laws checks this by closing again."""
     cur = rel_or_q
     for f in pool:
-        cur = saturate(cur, f.rename_into(cur.context), budget)[0]
+        cur = saturate(cur, f.rename_into(cur.context))[0]
     return cur
 
 

@@ -12,15 +12,12 @@ from formalpatch.cli import main
 from formalpatch.engine import (
     Budget,
     BudgetError,
-    FreeModuleElement,
     ModuleOrder,
     colon_element,
     colon_module,
     eliminate,
-    groebner_basis,
     leads_coprime,
     module_quotient,
-    normal_form,
     saturate,
     saturate_rabinowitsch,
     submodule,
@@ -110,9 +107,7 @@ def test_module_quotient_frozen():
 
 
 def test_colon_by_one_is_identity():
-    m1 = FreeModuleElement.from_polys([p("x"), p("y")])
-    m2 = FreeModuleElement.from_polys([p("y"), p("x")])
-    b = groebner_basis([m1, m2])
+    b = submodule([vec_of_polys([p("x"), p("y")]), vec_of_polys([p("y"), p("x")])], CTX, 2)
     assert module_quotient(b, p("1")).gens == b.gens
 
 
@@ -196,54 +191,50 @@ def test_prime_field_basis_reduction():
         assert g[0][1] == 1
 
 
-def test_degree_budget_raises_with_offender():
-    b = Budget(maxdeg=2, maxpairs=10)
+def test_degree_budget_raises_with_offender(monkeypatch):
+    monkeypatch.setenv("FORMALPATCH_BUDGET", "2:10")
     with pytest.raises(BudgetError) as e:
-        submodule(
-            [vec_of_polys([p(s)]) for s in ("x^3 - y", "x*y^2 - 1")],
-            CTX,
-            1,
-            budget=b,
-        )
+        submodule([vec_of_polys([p(s)]) for s in ("x^3 - y", "x*y^2 - 1")], CTX, 1)
     assert "degree budget" in str(e.value)
     assert e.value.detail and "pair" in e.value.detail
 
 
-def test_pair_budget_raises():
-    b = Budget(maxdeg=40, maxpairs=1)
+def test_pair_budget_raises(monkeypatch):
+    monkeypatch.setenv("FORMALPATCH_BUDGET", "40:1")
     with pytest.raises(BudgetError) as e:
-        submodule(
-            [vec_of_polys([p(s)]) for s in ("x^2 - y", "x*y - 1", "y^2 - x")],
-            CTX,
-            1,
-            budget=b,
-        )
+        submodule([vec_of_polys([p(s)]) for s in ("x^2 - y", "x*y - 1", "y^2 - x")], CTX, 1)
     assert "S-pair budget" in str(e.value)
 
 
-def _budget_failure(build, ctx, budget):
+def _budget_failure(run):
     with pytest.raises(BudgetError) as e:
-        build(ctx, budget)
+        run()
     return str(e.value), e.value.detail
 
 
-def _replay_basis(ctx, budget=None):
+def _replay_basis(ctx):
     gens = [vec_of_polys([parse_poly(s, ctx)]) for s in ("x^3 - y", "x*y^2 - 1")]
-    return submodule(gens, ctx, 1, budget=budget)
+    return lambda: submodule(gens, ctx, 1)
 
 
-def _replay_syzygies(ctx, budget=None):
-    return syzygy_basis(_replay_basis(ctx), budget)
+def _replay_syzygies(ctx):
+    # the basis is built here, under the default budget, so that only
+    # the syzygy run meets the tighter one
+    basis = _replay_basis(ctx)()
+    return lambda: syzygy_basis(basis)
 
 
 @pytest.mark.parametrize("build", [_replay_basis, _replay_syzygies])
 @pytest.mark.parametrize("budget", [Budget(maxdeg=2), Budget(maxpairs=1)])
-def test_cached_basis_replays_budget_error(build, budget):
-    ctx = PolyContext(QQ, ["x", "y"])
-    first = build(ctx)  # cached under the default budget
-    replayed = _budget_failure(build, ctx, budget)
-    assert replayed == _budget_failure(build, PolyContext(QQ, ["x", "y"]), budget)
-    assert build(ctx).gens == first.gens
+def test_cached_basis_replays_budget_error(build, budget, monkeypatch):
+    run = build(PolyContext(QQ, ["x", "y"]))
+    fresh = build(PolyContext(QQ, ["x", "y"]))
+    first = run()  # cached under the default budget
+    monkeypatch.setenv("FORMALPATCH_BUDGET", "%d:%d" % (budget.maxdeg, budget.maxpairs))
+    replayed = _budget_failure(run)
+    assert replayed == _budget_failure(fresh)
+    monkeypatch.delenv("FORMALPATCH_BUDGET")
+    assert run().gens == first.gens
 
 
 def test_basis_cache_is_scoped_to_one_ring_family():
@@ -309,14 +300,10 @@ def test_budget_env_override(monkeypatch):
 
 
 def test_normal_form_wrapper_roundtrip():
-    m1 = FreeModuleElement.from_polys([p("x"), p("y")])
-    m2 = FreeModuleElement.from_polys([p("0"), p("x - y")])
-    b = groebner_basis([m1, m2])
-    v = FreeModuleElement.from_polys([p("x"), p("y")])
-    r = normal_form(v, b)
-    assert r.is_zero
-    w = FreeModuleElement.from_polys([p("1"), p("0")])
-    assert normal_form(w, b) == w
+    b = submodule([vec_of_polys([p("x"), p("y")]), vec_of_polys([p("0"), p("x - y")])], CTX, 2)
+    assert b.nf(vec_of_polys([p("x"), p("y")])) == ()
+    w = vec_of_polys([p("1"), p("0")])
+    assert b.nf(w) == w
 
 
 def test_nf_is_idempotent():
@@ -609,8 +596,9 @@ SYZYGY_ORDERS = dict(GB_ORDERS, split=(((0, 1, 2),), 0, (0, 1, 1)))
 @pytest.mark.parametrize("p", [0, 7, 32003])
 @pytest.mark.parametrize("name", sorted(SYZYGY_ORDERS))
 def test_syzygy_project_matches_tagging_every_generator(name, p, rels):
-    # main alone tagged, aux as vecs or as a seeding basis; the grouped
-    # orders take the route that reduces the projection again
+    # main alone tagged, aux a basis of some generators or the zero
+    # basis of syzygy_basis; the grouped orders take the route that
+    # reduces the projection again
     order = SYZYGY_ORDERS[name]
     ctx, ring_rels = _ring(p, rels)
     for rank in (1, 2, 3):
@@ -618,21 +606,9 @@ def test_syzygy_project_matches_tagging_every_generator(name, p, rels):
         for _ in range(4):
             main = small_gens(rng, p, order, rank)
             aux = submodule(small_gens(rng, p, order, rank), ctx, rank, ring_rels, order)
-            expected = reference_syzygy_project(main, aux.gens, ctx, rank, ring_rels, order)
-            plain = engine.syzygy_project(main, aux.gens, ctx, rank, ring_rels, order)
-            seeded = engine.syzygy_project(main, aux, ctx, rank, ring_rels, order)
-            assert plain.gens == expected
-            assert seeded.gens == expected
-
-
-def test_syzygy_project_rejects_a_foreign_aux_basis():
-    b = ideal(CTX, "x^2", "y")
-    with pytest.raises(ValueError):
-        engine.syzygy_project([vec_of_polys([p("x")])], b, CTX, 2)
-    with pytest.raises(ValueError):
-        engine.syzygy_project(
-            [vec_of_polys([p("x")])], b, CTX, 1, order=ModuleOrder(LEX).descriptor(CTX)
-        )
+            for basis in (aux, aux.zero()):
+                expected = reference_syzygy_project(main, basis.gens, ctx, rank, ring_rels, order)
+                assert engine.syzygy_project(main, basis).gens == expected
 
 
 @pytest.mark.parametrize("order", [None, ModuleOrder(LEX).descriptor(CTX_T)])

@@ -2,11 +2,15 @@
 level-wise fiber-product kernel, certificates, maximality against
 candidates, and the flatness-based uniqueness check."""
 
+import copy
+import json
+
 import pytest
 
 from formalpatch import patch
 from formalpatch.engine import submodule, vec_of_polys, vec_text
 from formalpatch.fields import QQ
+from formalpatch.instance import Instance, bundled_path, load_instance
 from formalpatch.poly import parse_poly
 from formalpatch.rings import make_base_ring, truncate, validate_prime_data
 from formalpatch.towers import PresModule
@@ -254,15 +258,15 @@ class TestCertifyAndMaximality:
         assert mx["witness"] == "(0, 1, 1, 0)"
 
 
-@pytest.mark.parametrize(
-    "name", ["a2-ideal-xy", "a1-partial-fractions", "two-planes", "flat-free-a2"]
-)
+# the bundled instances that pose a patching problem
+PROBLEM_INSTANCES = ["a2-ideal-xy", "a1-partial-fractions", "two-planes", "flat-free-a2"]
+
+
+@pytest.mark.parametrize("name", PROBLEM_INSTANCES)
 def test_solver_records_match_certify_on_own_sections(name):
     """The solver's gamma-span and commutation records are the
     candidate certificate applied to its own sections at its
     denominator."""
-    from formalpatch.instance import bundled_path, load_instance
-
     _, prob, schedule = load_instance(bundled_path(name)).patch_setup()
     sol = patch.solve(prob, schedule)
     certified = patch.certify_solution(prob, sol.own_sections())
@@ -271,9 +275,7 @@ def test_solver_records_match_certify_on_own_sections(name):
     assert certified and solver == certified
 
 
-@pytest.mark.parametrize(
-    "name", ["a2-ideal-xy", "a1-partial-fractions", "two-planes", "flat-free-a2"]
-)
+@pytest.mark.parametrize("name", PROBLEM_INSTANCES)
 def test_chart_swap_identity(name):
     """Posing the problem again with f1<->f2, m1<->m2 and
     alpha1<->alpha2 keeps the status, the denominator and the flat
@@ -281,11 +283,6 @@ def test_chart_swap_identity(name):
     original solution's span without escaping it.  The sections
     themselves may differ: the greedy minimal choice depends on the
     coordinate order."""
-    import copy
-    import json
-
-    from formalpatch.instance import Instance, bundled_path
-
     path = bundled_path(name)
     with open(path) as fh:
         data = json.load(fh)
@@ -303,6 +300,46 @@ def test_chart_swap_identity(name):
     back = [(a, da, b, db) for b, db, a, da in sol_sw.own_sections()]
     mx = patch.check_maximality(sol, back)
     assert (mx["verdict"], mx["strict"]) == ("CONTAINED", False)
+
+
+def _outcome(sol):
+    return sol.status, sol.denominator, sol.section_texts()
+
+
+@pytest.mark.parametrize("name", PROBLEM_INSTANCES)
+def test_prime_field_identity(name):
+    """Solving the problem over F_32003 instead of Q keeps the status,
+    the denominator, the flat verdict, the verdict of every record and
+    the section texts."""
+    path = bundled_path(name)
+    with open(path) as fh:
+        data = json.load(fh)
+    modular = copy.deepcopy(data)
+    modular["field"] = {"characteristic": 32003}
+    sols = []
+    for d in (data, modular):
+        _, prob, schedule = Instance(path, d).patch_setup()
+        sols.append(patch.solve(prob, schedule))
+    rational, mod_p = sols
+    assert mod_p.problem.base.context.p == 32003
+    assert (_outcome(mod_p), mod_p.flat_verdict) == (_outcome(rational), rational.flat_verdict)
+    assert [(r.name, r.level, r.verdict) for r in mod_p.records] == [
+        (r.name, r.level, r.verdict) for r in rational.records]
+
+
+@pytest.mark.parametrize("name", PROBLEM_INSTANCES)
+def test_bundled_schedule_independence(name):
+    """Appending a bound past the end of the schedule, and dropping
+    bound 1 from a schedule of four or more bounds, keeps the status,
+    the denominator and the sections.  (two-planes' [0, 1, 2] does not
+    stabilize without 1, so it takes only the appended bound.)"""
+    _, prob, schedule = load_instance(bundled_path(name)).patch_setup()
+    want = _outcome(patch.solve(prob, schedule))
+    variants = [schedule + [schedule[-1] + 1]]
+    if len(schedule) >= 4:
+        variants.append([d for d in schedule if d != 1])
+    for sched in variants:
+        assert _outcome(patch.solve(prob, sched)) == want, sched
 
 
 def test_difference_matches_matrix_arithmetic(ideal_problem):
