@@ -9,10 +9,50 @@ relation submodule over B saturated at f, so no inverse variables ever
 enter the solver's linear algebra.  A section of the would-be glued
 module is a pair (a/f1^D, b/f2^D) stored as the coordinate pair (a, b)
 with its denominator exponent.
+
+Derived levels.  Every object the solver needs at level i (over
+B_i = B/t^i) is derived from B where a LevelCertificate allows it.  The
+lemma is the filtration argument for regular sequences (Matsumura,
+Commutative Ring Theory, section 16): if t is a nonzerodivisor on
+N = F/S and g is a nonzerodivisor on N/tN, then g is a nonzerodivisor
+on every N/t^iN, which is filtered by copies of N/tN.  With F free over
+B and S a submodule over B, the certificate's checks, each one lead-term
+test or one colon over B, and what they give at every level i >= 1:
+
+- S_e = satrel(e, None) with S_e : t = S_e and (S_e + tF) : f_e =
+  S_e + tF: satrel(e, i) = S_e + t^iF, one basis extension with B_i's
+  ring relations.  The same for zero_pairs when it holds for e = 1, 2.
+- t regular on F/(S + im phi), where phi maps a free module into F/S
+  and S's levels are S + t^iF: the kernel of phi at level i is the
+  kernel over B plus t^i times the free module.  This covers
+  kernel_basis (phi_D into M_0), pose_problem's injectivity (alpha_e)
+  and solve's level-injectivity (the sections into the pairs modulo
+  the zero pairs), which then holds at every level by construction.
+- With derived kernels a span equality over B holds at every level: the
+  stabilization test, the canonical-bound search and
+  level-surjectivity run once, over B.  A span that misses over B is
+  tried at level 1 (B's span plus t times the pairs), whose miss fails
+  the test; a miss over B with a hit at level 1 falls back to the
+  level-wise test for that pair of bounds only.
+- Checks whose level-i module always contains B's need no regularity:
+  a PASS over B is a PASS at every level for well-definedness,
+  surjectivity after inverting f0, gamma-span, commutation and the
+  containments of check_maximality and check_flat_uniqueness.
+- t regular on F/S, and a pool element or separator regular on
+  F/(S + tF): the torsion records (t-regularity, q-vanishing,
+  separator-kernel) PASS at every level, for M_1, M_2 and the solution.
+
+Whatever the certificate cannot derive (a check fails, or a B-level
+span misses) is computed level by level.  Reduced bases are unique, so
+a derived basis equals the computed one, and every record prints the
+same verdict at the same level on either path.  The tower side
+(build_tower's own levels, q_filtration, verify_tower_laws) computes
+every level.
 """
 
 from __future__ import annotations
 
+import weakref
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -20,6 +60,7 @@ from formalpatch import kernel
 from formalpatch.engine import (
     SubmoduleBasis,
     diagonal_rows,
+    leads_coprime,
     module_quotient,
     saturate,
     submodule,
@@ -147,8 +188,8 @@ def _join_pair(a_vec, b_vec, g1):
 
 class PatchProblem:
     """Saturated-coordinate patching data: presentations of M_1, M_2,
-    M_0 over B and the chart each lives on, gluing matrices over B, and
-    per-level caches."""
+    M_0 over B and the chart each lives on, gluing matrices over B, the
+    level certificate, and per-level caches."""
 
     def __init__(self, config, modules, alpha1, alpha2, expected_rank=None):
         self.config = config
@@ -158,9 +199,13 @@ class PatchProblem:
         self.alpha1 = alpha1  # g1 rows, each a vec of rank g0
         self.alpha2 = alpha2
         self.expected_rank = expected_rank
+        self.certificate = LevelCertificate(self)
         self._rings = {}
+        self._powers = {}
         self._satrel = {}
         self._zero_pairs = {}
+        self._phi = {}
+        self._kernels = {}
         self.records = []
 
     # -- rings ---------------------------------------------------------
@@ -175,29 +220,52 @@ class PatchProblem:
             self._rings[level] = truncate(self.base, level)
         return self._rings[level]
 
+    def chart_power(self, e: int, k: int):
+        """f_e^k as a rank-1 vec, built once per (e, k)."""
+        if (e, k) not in self._powers:
+            self._powers[e, k] = vec_of_polys([self.charts[e] ** k])
+        return self._powers[e, k]
+
+    def truncation(self, basis: SubmoduleBasis, level: int) -> SubmoduleBasis:
+        """basis + t^level F over B/(t^level), for a submodule of F over
+        B: its image in the level's free module, with the level's ring
+        relations."""
+        t_rows = diagonal_rows([(self.base.t() ** level).terms], basis.rank)
+        gens = basis.extend(t_rows).gens
+        return SubmoduleBasis(basis.context, basis.rank, basis.order,
+                              self.ring_at(level).rels_vecs, gens)
+
     # -- saturated relation modules -----------------------------------
     def satrel(self, e: int, level: Optional[int]) -> SubmoduleBasis:
         """Relations of M_e over B (level None), or of M_e/t^iM_e over
-        B_i, saturated at the chart f_e; f_0 = f1*f2."""
+        B_i, saturated at the chart f_e; f_0 = f1*f2.  A level the
+        certificate derives is satrel(e, None) + t^iF."""
         key = (e, level)
         if key not in self._satrel:
-            M = self.modules[e]
-            if level is not None:
-                M = M.over(self.ring_at(level))
-            self._satrel[key] = saturate(M.rel, self.charts[e])[0]
+            if level is not None and self.certificate.derivable("satrel", e):
+                S = self.truncation(self.satrel(e, None), level)
+            else:
+                M = self.modules[e]
+                if level is not None:
+                    M = M.over(self.ring_at(level))
+                S = saturate(M.rel, self.charts[e])[0]
+            self._satrel[key] = S
         return self._satrel[key]
 
     def zero_pairs(self, level: Optional[int]) -> SubmoduleBasis:
         """Pairs representing (0, 0): SatRel_1 + SatRel_2 side by side."""
         if level not in self._zero_pairs:
-            s1 = self.satrel(1, level)
-            s2 = self.satrel(2, level)
-            rows = [_join_pair(g, (), self.g1) for g in s1.gens]
-            rows += [_join_pair((), g, self.g1) for g in s2.gens]
-            R = self.ring_at(level)
-            self._zero_pairs[level] = submodule(
-                rows or [()], self.base.context, self.g1 + self.g2, ring_rels=R.rels_vecs
-            )
+            if level is not None and self.certificate.derivable("pairs"):
+                Z = self.truncation(self.zero_pairs(None), level)
+            else:
+                s1 = self.satrel(1, level)
+                s2 = self.satrel(2, level)
+                rows = [_join_pair(g, (), self.g1) for g in s1.gens]
+                rows += [_join_pair((), g, self.g1) for g in s2.gens]
+                R = self.ring_at(level)
+                Z = submodule(rows or [()], self.base.context, self.g1 + self.g2,
+                              ring_rels=R.rels_vecs)
+            self._zero_pairs[level] = Z
         return self._zero_pairs[level]
 
     # -- the difference map and its kernel ----------------------------
@@ -218,21 +286,34 @@ class PatchProblem:
         this lies in the relations of M_0."""
         ctx = self.base.context
         order = ctx.order0
-        lhs = kernel.mul_vec_poly(
-            self._alpha_image(1, a), vec_of_polys([self.config.f2**db]), order, ctx.p
-        )
-        rhs = kernel.mul_vec_poly(
-            self._alpha_image(2, b), vec_of_polys([-(self.config.f1**da)]), order, ctx.p
-        )
-        return kernel.add_vec(lhs, rhs, order, ctx.p)
+        lhs = kernel.mul_vec_poly(self._alpha_image(1, a), self.chart_power(2, db), order, ctx.p)
+        rhs = kernel.mul_vec_poly(self._alpha_image(2, b), self.chart_power(1, da), order, ctx.p)
+        return kernel.add_vec(lhs, kernel.neg_vec(rhs, ctx.p), order, ctx.p)
+
+    def phi_rows(self, D: int):
+        """The images of the unit pairs under the bound-D difference map
+        phi_D; its kernel is K_D."""
+        if D not in self._phi:
+            ctx = self.base.context
+            rows = [self.difference(unit_vec(ctx, k), D, (), D) for k in range(self.g1)]
+            rows += [self.difference((), D, unit_vec(ctx, k), D) for k in range(self.g2)]
+            self._phi[D] = tuple(rows)
+        return self._phi[D]
 
     def kernel_basis(self, level: Optional[int], D: int) -> SubmoduleBasis:
         """K_D = pairs (a, b) with f2^D alpha1(a) = f1^D alpha2(b) in
-        the saturated M_0 coordinates; a submodule of B_i^{g1+g2}."""
-        ctx = self.base.context
-        main = [self.difference(unit_vec(ctx, k), D, (), D) for k in range(self.g1)]
-        main += [self.difference((), D, unit_vec(ctx, k), D) for k in range(self.g2)]
-        return syzygy_project(main, self.satrel(0, level))
+        the saturated M_0 coordinates; a submodule of B_i^{g1+g2}.  A
+        level the certificate derives is K_D over B plus t^i times the
+        free module of pairs."""
+        key = (level, D)
+        if key not in self._kernels:
+            rows = self.phi_rows(D)
+            if level is not None and self.certificate.derivable("kernel", rows):
+                K = self.truncation(self.kernel_basis(None, D), level)
+            else:
+                K = syzygy_project(rows, self.satrel(0, level))
+            self._kernels[key] = K
+        return self._kernels[key]
 
     def scale_pair_into(self, vec, s: int):
         """(a, b) -> (f1^s a, f2^s b), the denominator-D to D+s embedding."""
@@ -245,8 +326,8 @@ class PatchProblem:
         """The pair (f1^sa a, f2^sb b)."""
         ctx = self.base.context
         order = ctx.order0
-        a2 = kernel.mul_vec_poly(a, vec_of_polys([self.config.f1**sa]), order, ctx.p)
-        b2 = kernel.mul_vec_poly(b, vec_of_polys([self.config.f2**sb]), order, ctx.p)
+        a2 = kernel.mul_vec_poly(a, self.chart_power(1, sa), order, ctx.p)
+        b2 = kernel.mul_vec_poly(b, self.chart_power(2, sb), order, ctx.p)
         return _join_pair(a2, b2, self.g1)
 
     def span_with_zero_pairs(self, pair_vecs, level: Optional[int]) -> SubmoduleBasis:
@@ -270,6 +351,88 @@ class PatchProblem:
         return remaining
 
 
+class LevelCertificate:
+    """Which truncation levels of a PatchProblem follow from B and
+    level 1 (the lemma is in the module docstring).
+
+    derivable(claim, *args) answers a claim for every level i >= 1 at
+    once, and memoizes the answer.  The claims:
+
+    - "image": a check whose level-i module contains B's, so that a
+      PASS over B is a PASS at every level;
+    - "satrel", e: satrel(e, i) = satrel(e, None) + t^iF;
+    - "pairs": zero_pairs(i) = zero_pairs(None) + t^iP;
+    - "kernel", rows: the kernel of `rows` into F_0/satrel(0, i) is
+      the kernel over B plus t^i times the free module;
+    - "pair-kernel", rows: the same for `rows` into P/zero_pairs(i);
+    - "t-regular", S: (S + t^(i+1)F) : t = S + t^iF;
+    - "torsion", S, g: g is a nonzerodivisor on F/(S + t^iF).
+
+    Every check behind them is one lead-term test or one colon over B.
+    A False answer proves nothing: the caller takes the level-wise
+    path."""
+
+    def __init__(self, problem):
+        # a proxy, so that the problem and its certificate form no
+        # reference cycle and the problem's bases go as soon as it does
+        self.problem = weakref.proxy(problem)
+        self._answers = {}
+        self._regular = {}
+
+    def derivable(self, claim: str, *args) -> bool:
+        key = (claim,) + args
+        if key not in self._answers:
+            self._answers[key] = self._CLAIMS[claim](self, *args)
+        return self._answers[key]
+
+    def regular(self, N: SubmoduleBasis, f: Polynomial) -> bool:
+        """Is f a nonzerodivisor on F/N, for a submodule N over B?"""
+        key = (N, f)
+        if key not in self._regular:
+            f = f.rename_into(N.context)
+            lead = kernel.canon_vec(f.terms, N.order, N.context.p)[0][0][0]
+            self._regular[key] = leads_coprime(N, lead) or module_quotient(N, f).gens == N.gens
+        return self._regular[key]
+
+    def _t(self):
+        return self.problem.base.t()
+
+    def _image(self):
+        # satrel(e, None) lies in satrel(e, i): saturation is monotone
+        return True
+
+    def _satrel(self, e):
+        return self.derivable("torsion", self.problem.satrel(e, None), self.problem.charts[e])
+
+    def _pairs(self):
+        return self.derivable("satrel", 1) and self.derivable("satrel", 2)
+
+    def _kernel(self, rows):
+        S = self.problem.satrel(0, None)
+        return self.derivable("satrel", 0) and self.regular(S.extend(rows), self._t())
+
+    def _pair_kernel(self, rows):
+        Z = self.problem.zero_pairs(None)
+        return self.derivable("pairs") and self.regular(Z.extend(rows), self._t())
+
+    def _t_regular(self, S):
+        return self.regular(S, self._t())
+
+    def _torsion(self, S, g):
+        t_rows = diagonal_rows([self._t().terms], S.rank)
+        return self.derivable("t-regular", S) and self.regular(S.extend(t_rows), g)
+
+    _CLAIMS = {
+        "image": _image,
+        "satrel": _satrel,
+        "pairs": _pairs,
+        "kernel": _kernel,
+        "pair-kernel": _pair_kernel,
+        "t-regular": _t_regular,
+        "torsion": _torsion,
+    }
+
+
 def _unreached_generator(problem, rows, rel, f):
     """Index of the first unit vector outside the span of `rows` and
     the relation basis `rel`, saturated at f over rel's ring; None when
@@ -279,42 +442,78 @@ def _unreached_generator(problem, rows, rel, f):
     return next((k for k in range(rel.rank) if not span.contains(unit_vec(ctx, k))), None)
 
 
-def _torsion_records(problem, satrels_by_level, label, pool):
+def _failures_by_level(problem, find, *claim):
+    """find(level) at levels 1..depth, lazily: a check's first failure
+    at that level, or None.  When the certificate grants `claim` (by
+    default "image": the check's module at every level contains its
+    module over B) and find(None) finds nothing over B, nothing fails
+    at any level, and find is not called again."""
+    levels = range(1, problem.config.depth + 1)
+    if problem.certificate.derivable(*(claim or ("image",))) and find(None) is None:
+        return (None for _ in levels)
+    return (find(i) for i in levels)
+
+
+def _torsion_records(problem, S, at_level, label, pool, derived):
     """Threefold torsion-freeness certificate in saturated coordinates:
     t-regularity per level, vanishing torsion closure over the pool,
-    and zero intersection of the component-separator kernels."""
+    and zero intersection of the component-separator kernels.
+
+    S is the relation module over B and at_level(i) its relations over
+    B_i; `derived` says that at_level(i) is S + t^iF at every level.
+    Then a record whose certificate claim holds PASSes at every level,
+    and the others are computed level by level."""
     cfg = problem.config
+    cert = problem.certificate
     records = []
     depth = cfg.depth
     ctx = problem.base.context
     t = problem.base.t()
+    separators = [rho.rename_into(ctx) for rho in cfg.pd.separators]
+    t_everywhere = derived and cert.derivable("t-regular", S)
+    q_everywhere = derived and all(cert.derivable("torsion", S, f) for f in pool)
+    sep_everywhere = derived and all(cert.derivable("torsion", S, rho) for rho in separators)
     for i in range(1, depth + 1):
-        S = satrels_by_level[i]
-        g = S.rank
         if i < depth:
-            Snext = satrels_by_level[i + 1]
-            lhs = module_quotient(Snext, t)
-            rhs = Snext.extend(diagonal_rows([(t**i).terms], g))
-            ok = lhs.gens == rhs.gens
+            ok = t_everywhere
+            if not ok:
+                Snext = at_level(i + 1)
+                lhs = module_quotient(Snext, t)
+                rhs = Snext.extend(diagonal_rows([(t**i).terms], Snext.rank))
+                ok = lhs.gens == rhs.gens
             records.append(Check(label + "-t-regularity", i, "PASS" if ok else "FAIL"))
-        Q = _torsion_closure(S, pool)
-        ok = Q.gens == S.gens
+        ok = q_everywhere
         witness = ""
         if not ok:
-            extra = next(gv for gv in Q.gens if not S.contains(gv))
-            witness = vec_text(ctx, g, extra)
+            Si = at_level(i)
+            Q = _torsion_closure(Si, pool)
+            ok = Q.gens == Si.gens
+            if not ok:
+                extra = next(gv for gv in Q.gens if not Si.contains(gv))
+                witness = vec_text(ctx, Si.rank, extra)
         records.append(Check(label + "-q-vanishing", i, "PASS" if ok else "FAIL", witness))
-        inter = None
-        for rho in cfg.pd.separators:
-            satk = saturate(S, rho.rename_into(ctx))[0]
-            inter = satk if inter is None else submodule_intersect(inter, satk)
-        ok = inter.gens == S.gens
+        ok = sep_everywhere
+        if not ok:
+            Si = at_level(i)
+            inter = None
+            for rho in separators:
+                satk = saturate(Si, rho)[0]
+                inter = satk if inter is None else submodule_intersect(inter, satk)
+            ok = inter.gens == Si.gens
         records.append(Check(label + "-separator-kernel", i, "PASS" if ok else "FAIL"))
     all_ok = all(r.verdict == "PASS" for r in records)
     records.append(
         Check(label + "-torsion-freeness", 0, "CERTIFIED-AT-DEPTH" if all_ok else "FAIL")
     )
     return records
+
+
+def _non_injective(problem, e, alpha_rows, level):
+    """The first kernel element of alpha_e into M_0 at `level` outside
+    M_e's relations saturated at f0, or None."""
+    K = syzygy_project(alpha_rows, problem.satrel(0, level))
+    Se_ext = saturate(problem.satrel(e, level), problem.config.f0())[0]
+    return next((gv for gv in K.gens if not Se_ext.contains(gv)), None)
 
 
 def pose_problem(config, module1, module2, module0, alpha1_matrix, alpha2_matrix,
@@ -324,6 +523,13 @@ def pose_problem(config, module1, module2, module0, alpha1_matrix, alpha2_matrix
     module arguments are (generator count, relation rows) in saturated
     coordinates over B; alphas are matrices of base polynomials, one
     row per M_e generator, entries indexed by M_0 generators.
+
+    Each check runs over B first.  Well-definedness and surjectivity
+    only get easier with the level, so a PASS over B holds at every
+    level; injectivity holds at every level when it holds over B and
+    the certificate derives the kernel of alpha_e.  Whatever B leaves
+    open is checked level by level, and the first level and check that
+    fail raise the error.
     """
     g1, rows1 = module1
     g2, rows2 = module2
@@ -336,43 +542,49 @@ def pose_problem(config, module1, module2, module0, alpha1_matrix, alpha2_matrix
     modules = {e: PresModule.make(config.base, g, rows)
                for e, g, rows in ((1, g1, rows1), (2, g2, rows2), (0, g0, rows0))}
     problem = PatchProblem(config, modules, tuple(a1), tuple(a2), expected_rank)
+    cert = problem.certificate
     pool = list(pool) if pool else _default_pool(config)
     f0 = config.f0()
 
     for e, rows, g in ((1, rows1, g1), (2, rows2, g2)):
+        images = [problem._alpha_image(e, r) for r in rows]
+        alpha_rows = tuple(problem._alpha_image(e, unit_vec(ctx, k)) for k in range(g))
+        # well-definedness: relations map to zero in M_0
+        unkilled = _failures_by_level(problem, lambda level: next(
+            ((r, img) for r, img in zip(rows, images)
+             if not problem.satrel(0, level).contains(img)), None))
+        # surjectivity after inverting f0: every M_0 generator hit
+        unreached = _failures_by_level(problem, lambda level: _unreached_generator(
+            problem, alpha_rows, problem.satrel(0, level), f0))
+        # injectivity: kernel of the alpha map lies in M_e's relations
+        non_injective = _failures_by_level(problem, lambda level: _non_injective(
+            problem, e, alpha_rows, level), "kernel", alpha_rows)
         for i in range(1, config.depth + 1):
-            S0 = problem.satrel(0, i)
-            # well-definedness: relations map to zero in M_0
-            for r in rows:
-                img = problem._alpha_image(e, r)
-                if not S0.contains(img):
-                    raise PatchError(
-                        "alpha%d does not kill the relation %s at level %s"
-                        % (e, vec_text(ctx, g, r), i),
-                        witness=vec_text(ctx, g0, img),
-                    )
-            # surjectivity after inverting f0: every M_0 generator hit
-            alpha_rows = [problem._alpha_image(e, unit_vec(ctx, k)) for k in range(g)]
-            k = _unreached_generator(problem, alpha_rows, S0, f0)
+            bad = next(unkilled)
+            if bad is not None:
+                raise PatchError(
+                    "alpha%d does not kill the relation %s at level %s"
+                    % (e, vec_text(ctx, g, bad[0]), i),
+                    witness=vec_text(ctx, g0, bad[1]),
+                )
+            k = next(unreached)
             if k is not None:
                 raise PatchError(
                     "alpha%d not surjective at level %s: generator %d of M_0 unreachable"
                     % (e, i, k + 1),
                     witness="generator %d" % (k + 1),
                 )
-            # injectivity: kernel of the alpha map lies in M_e's relations
-            K = syzygy_project(alpha_rows, S0)
-            Se_ext = saturate(problem.satrel(e, i), f0)[0]
-            for gv in K.gens:
-                if not Se_ext.contains(gv):
-                    raise PatchError(
-                        "alpha%d not injective at level %s" % (e, i),
-                        witness=vec_text(ctx, g, gv),
-                    )
+            bad = next(non_injective)
+            if bad is not None:
+                raise PatchError(
+                    "alpha%d not injective at level %s" % (e, i),
+                    witness=vec_text(ctx, g, bad),
+                )
     # torsion-freeness certificates for M_1, M_2 towers
     for e, label in ((1, "m1"), (2, "m2")):
-        sats = {i: problem.satrel(e, i) for i in range(1, config.depth + 1)}
-        recs = _torsion_records(problem, sats, label, pool)
+        recs = _torsion_records(problem, problem.satrel(e, None),
+                                lambda i, e=e: problem.satrel(e, i), label, pool,
+                                cert.derivable("satrel", e))
         problem.records.extend(recs)
         bad = [r for r in recs if r.verdict not in ("PASS", "CERTIFIED-AT-DEPTH")]
         if bad:
@@ -451,39 +663,52 @@ def _spans_equal_under_embedding(problem, K_small, D_small, K_big, D_big, level)
     return all(span.contains(g) for g in K_big.gens)
 
 
+def _bounds_agree(problem, D_small, D_big):
+    """Do the D_small and D_big kernels agree under the embedding at
+    every level?
+
+    When the certificate derives both kernels, each is the one over B
+    plus t^i P at level i, P the free module of pairs, and the zero
+    pairs hold t^i P.  So agreement over B gives agreement at every
+    level, and the kernels over B disagreeing at level 1 makes the
+    answer no.  Anything else is decided level by level."""
+    cert = problem.certificate
+    K = problem.kernel_basis
+    if (cert.derivable("kernel", problem.phi_rows(D_small))
+            and cert.derivable("kernel", problem.phi_rows(D_big))):
+        small, big = K(None, D_small), K(None, D_big)
+        if _spans_equal_under_embedding(problem, small, D_small, big, D_big, None):
+            return True
+        if not _spans_equal_under_embedding(problem, small, D_small, big, D_big, 1):
+            return False
+    return all(
+        _spans_equal_under_embedding(problem, K(i, D_small), D_small, K(i, D_big), D_big, i)
+        for i in range(1, problem.config.depth + 1)
+    )
+
+
 def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
-    """Level-wise fiber products at growing denominator bounds until two
+    """Fiber products at growing denominator bounds until two
     consecutive bounds agree at every level; then canonicalize at the
-    least sufficient bound, lift to a tower over B, and certify."""
+    least sufficient bound, lift to a tower over B, and certify.  What
+    the certificate derives is decided over B and level 1, the rest
+    level by level."""
     sched = list(schedule)
     if not sched or any(d < 0 for d in sched) or any(
         b <= a for a, b in zip(sched, sched[1:])
     ):
         raise PatchError("the D-schedule must be strictly increasing and nonnegative")
     cfg = problem.config
+    cert = problem.certificate
     levels = list(range(1, cfg.depth + 1))
-    kernels = {}  # (level, D) -> basis
-
-    def K(level, D):
-        if (level, D) not in kernels:
-            kernels[(level, D)] = problem.kernel_basis(level, D)
-        return kernels[(level, D)]
 
     stabilized_at = None
-    prev = None
-    for D in sched:
-        for i in levels:
-            K(i, D)
-        if prev is not None:
-            if all(
-                _spans_equal_under_embedding(problem, K(i, prev), prev, K(i, D), D, i)
-                for i in levels
-            ):
-                stabilized_at = (prev, D)
-                break
-        prev = D
+    for prev, D in zip(sched, sched[1:]):
+        if _bounds_agree(problem, prev, D):
+            stabilized_at = (prev, D)
+            break
 
-    trace = {"schedule": sched, "kernels_computed": sorted(k for k in kernels)}
+    trace = {"schedule": sched}
     if stabilized_at is None:
         return PatchSolution(
             problem, "UNSTABILIZED", sched[-1] if sched else 0, [], None, None,
@@ -493,14 +718,7 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
         )
 
     D_stab = stabilized_at[1]
-    canonical = None
-    for d in range(0, D_stab + 1):
-        if all(
-            _spans_equal_under_embedding(problem, K(i, d), d, K(i, D_stab), D_stab, i)
-            for i in levels
-        ):
-            canonical = d
-            break
+    canonical = next(d for d in range(0, D_stab + 1) if _bounds_agree(problem, d, D_stab))
     trace["stabilized"] = stabilized_at
     trace["canonical_denominator"] = canonical
 
@@ -514,14 +732,23 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
     pool = _default_pool(cfg)
     # gamma span equality in both coordinates and diagram commutation
     records = certify_solution(problem, sol.own_sections())
+    # the level fiber product is exactly the tower's level module:
+    # surjectivity is span equality, injectivity is kernel containment.
+    # The sections span K_canonical over B, hence at every level where
+    # K_canonical is derived; where the kernel of the sections is
+    # derived, it is the tower's level relations themselves.
+    def unspanned(level):
+        span = problem.span_with_zero_pairs(sections, level)
+        return next((g for g in problem.kernel_basis(level, canonical).gens
+                     if not span.contains(g)), None)
+
+    unspanned_at = _failures_by_level(problem, unspanned, "kernel", problem.phi_rows(canonical))
+    into = not sections or cert.derivable("pair-kernel", tuple(sections))
     for i in levels:
-        # the level fiber product is exactly the tower's level module:
-        # surjectivity is span equality, injectivity is kernel containment
-        span = problem.span_with_zero_pairs(sections, i)
-        ok = all(span.contains(g) for g in K(i, canonical).gens)
+        ok = next(unspanned_at) is None
         records.append(Check("level-surjectivity", i, "PASS" if ok else "FAIL"))
         bad = None
-        if sections:
+        if not into:
             ker = syzygy_project(sections, problem.zero_pairs(i))
             reli = tower.level(i).rel
             bad = next((gv for gv in ker.gens if not reli.contains(gv)), None)
@@ -530,8 +757,8 @@ def solve(problem: PatchProblem, schedule: Sequence[int]) -> PatchSolution:
                   "" if bad is None else vec_text(ctx, base_mod.g, bad))
         )
     # torsion-freeness of the solution tower itself
-    sol_sats = {i: tower.level(i).rel for i in levels}
-    records.extend(_torsion_records(problem, sol_sats, "solution", pool))
+    records.extend(_torsion_records(problem, base_mod.rel, lambda i: tower.level(i).rel,
+                                    "solution", pool, True))
 
     if problem.expected_rank is not None:
         fl = flatness_certificate(base_mod, problem.expected_rank)
@@ -567,21 +794,24 @@ def _pair_presentation(problem, pairs) -> PresModule:
 def certify_solution(problem: PatchProblem, candidate_sections) -> list:
     """PASS/FAIL records per level for a user-supplied candidate given
     as sections (a_vec, da, b_vec, db): gamma span equality in both
-    coordinates plus diagram commutation."""
+    coordinates plus diagram commutation.  Both only get easier with
+    the level, so a PASS over B is a PASS at every level."""
     cfg = problem.config
     ctx = problem.base.context
     diffs = [problem.difference(*s) for s in candidate_sections]
     records = []
-    for i in range(1, cfg.depth + 1):
-        for e, f in ((1, cfg.f1), (2, cfg.f2)):
-            parts = [s[0] if e == 1 else s[2] for s in candidate_sections]
-            k = _unreached_generator(problem, parts, problem.satrel(e, i), f)
+    for e, f in ((1, cfg.f1), (2, cfg.f2)):
+        parts = [s[0] if e == 1 else s[2] for s in candidate_sections]
+        unreached = _failures_by_level(problem, lambda level: _unreached_generator(
+            problem, parts, problem.satrel(e, level), f))
+        for i, k in enumerate(unreached, 1):
             records.append(
                 Check("gamma-span-m%d" % e, i, "PASS" if k is None else "FAIL",
                       "" if k is None else "generator %d not reached" % (k + 1))
             )
-        S0 = problem.satrel(0, i)
-        bad = next((d for d in diffs if not S0.contains(d)), None)
+    uncommuting = _failures_by_level(problem, lambda level: next(
+        (d for d in diffs if not problem.satrel(0, level).contains(d)), None))
+    for i, bad in enumerate(uncommuting, 1):
         records.append(
             Check("commutation", i, "PASS" if bad is None else "FAIL",
                   "" if bad is None else vec_text(ctx, problem.g0, bad))
@@ -594,17 +824,21 @@ def _compare_spans(problem, solution, candidate_sections):
     """Bring the solution and the candidate to their least common
     denominator; return the candidate pairs and, per level, the first
     candidate pair outside the solution's span and the first solution
-    pair outside the candidate's span (None where there is none)."""
+    pair outside the candidate's span (None where there is none).
+    Spans only grow with the level, so a pair inside over B is inside
+    at every level."""
     D = max([solution.denominator] + [max(s[1], s[3]) for s in candidate_sections])
     sol_pairs = [problem.scale_pair_into(g, D - solution.denominator) for g in solution.sections]
     cand_pairs = [problem.scaled_pair(a, D - da, b, D - db) for a, da, b, db in candidate_sections]
 
+    def first_outside(pairs, others, level):
+        span = problem.span_with_zero_pairs(others, level)
+        return next((p for p in pairs if not span.contains(p)), None)
+
     def escapes():
-        for i in range(1, problem.config.depth + 1):
-            sol_span = problem.span_with_zero_pairs(sol_pairs, i)
-            cand_span = problem.span_with_zero_pairs(cand_pairs, i)
-            yield (next((cp for cp in cand_pairs if not sol_span.contains(cp)), None),
-                   next((sp for sp in sol_pairs if not cand_span.contains(sp)), None))
+        yield from zip(
+            _failures_by_level(problem, lambda level: first_outside(cand_pairs, sol_pairs, level)),
+            _failures_by_level(problem, lambda level: first_outside(sol_pairs, cand_pairs, level)))
 
     return cand_pairs, escapes()
 

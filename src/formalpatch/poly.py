@@ -193,9 +193,6 @@ class Monomial:
     def __mul__(self, other):
         return Monomial(self.context, kernel.mono_mul(self.exps, other.exps))
 
-    def lcm(self, other):
-        return Monomial(self.context, kernel.mono_lcm(self.exps, other.exps))
-
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps and self.context == other.context
 

@@ -99,17 +99,20 @@ class TestExitCodes:
         assert "%s: %s: " % (p, keypath) in err
 
     def test_degree_budget_exit_hints_at_depth_and_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("FORMALPATCH_BUDGET", "3:200000")
+        # the derived levels keep every S-pair of this solve at degree 3
+        # or less, whatever the depth, so the cap is 2
+        monkeypatch.setenv("FORMALPATCH_BUDGET", "2:200000")
         code, out, err = run(capsys, "solve", "a2-ideal-xy", "--depth", "2")
         assert code == 4
         assert out == ""
-        assert "S-pair lcm degree 4 > 3" in err
+        assert "S-pair lcm degree 3 > 2" in err
         hint = err.splitlines()[-1]
         assert hint.startswith("hint: at truncation depth 2 ")
-        assert "degree cap 3" in hint and "FORMALPATCH_BUDGET=maxdeg:maxpairs" in hint
+        assert "degree cap 2" in hint and "FORMALPATCH_BUDGET=maxdeg:maxpairs" in hint
 
     def test_pair_budget_exit_has_no_degree_hint(self, capsys, monkeypatch):
-        monkeypatch.setenv("FORMALPATCH_BUDGET", "40:5")
+        # the largest Groebner run of this solve reduces 5 pairs
+        monkeypatch.setenv("FORMALPATCH_BUDGET", "40:4")
         code, out, err = run(capsys, "solve", "a2-ideal-xy", "--depth", "2")
         assert code == 4
         assert out == ""

@@ -7,11 +7,12 @@ import json
 
 import pytest
 
-from formalpatch import patch
-from formalpatch.engine import submodule, vec_of_polys, vec_text
+from formalpatch import engine, patch
+from formalpatch.cli import _DISPATCH, build_parser, main
+from formalpatch.engine import saturate, submodule, syzygy_project, vec_of_polys, vec_text
 from formalpatch.fields import QQ
 from formalpatch.instance import Instance, bundled_path, load_instance
-from formalpatch.poly import parse_poly
+from formalpatch.poly import Polynomial, parse_poly
 from formalpatch.rings import make_base_ring, truncate, validate_prime_data
 from formalpatch.towers import PresModule
 
@@ -406,3 +407,220 @@ class TestFlatUniqueness:
         sol = patch.solve(prob, [0, 1, 2, 3])
         out = patch.check_flat_uniqueness(prob, sol, sol.own_sections(), 1)
         assert out == {"verdict": "EQUAL", "witness": ""}
+
+
+# -- derived levels against the level-wise path ---------------------------
+
+
+def _level_wise(monkeypatch):
+    """Make the level certificate answer "not derivable" to every claim,
+    so that every level is computed level by level."""
+    monkeypatch.setattr(patch.LevelCertificate, "derivable", lambda self, claim, *args: False)
+
+
+def _report_texts(command, name, *flags):
+    args = build_parser().parse_args([command, name, *flags])
+    rep = _DISPATCH[command](args)
+    return rep.text(), rep.json()
+
+
+def _candidates(inst, prob, sol):
+    """Candidates for certify and maximality: the solver's own sections,
+    the base-ring image when the modules have one generator, and the
+    instance's named candidate I when there is one."""
+    out = [sol.own_sections()]
+    if prob.g1 == prob.g2 == 1:
+        one = vec_of_polys([Polynomial.one(prob.base.context)])
+        out.append([(one, 0, one, 0)])
+    if "I" in inst.data.get("candidates", {}):
+        out.append(inst.candidate("I")[0])
+    return out
+
+
+def _outcomes(name, solutions):
+    """Per depth 1..12: the solve report (text and JSON), and per
+    candidate the certify records, check_maximality and, for a FLAT
+    solution, check_flat_uniqueness; then at depth 12 the satrel,
+    zero-pair and kernel bases at every level.  `solutions` receives
+    each solution patch.solve returns."""
+    out = []
+    for depth in range(1, 13):
+        out.append(_report_texts("solve", name, "--depth", str(depth)))
+        sol = solutions[-1]
+        prob = sol.problem
+        inst = load_instance(bundled_path(name))
+        for cand in _candidates(inst, prob, sol):
+            out.append(patch.certify_solution(prob, cand))
+            out.append(patch.check_maximality(sol, cand))
+            if sol.flat_verdict == "FLAT":
+                out.append(patch.check_flat_uniqueness(prob, sol, cand, 1))
+    schedule = sol.trace["schedule"]
+    for i in range(1, 13):
+        out.append([prob.satrel(e, i).gens for e in (0, 1, 2)])
+        out.append(prob.zero_pairs(i).gens)
+        out.append([prob.kernel_basis(i, D).gens for D in schedule])
+    if "candidates" in inst.data:
+        out.append(_report_texts("certify", name, "--candidate", "I"))
+    return out
+
+
+@pytest.mark.parametrize("name", PROBLEM_INSTANCES)
+def test_derived_levels_match_level_wise(name, monkeypatch):
+    """At every depth 1..12 the derived levels give the reports,
+    certificates, maximality verdicts and bases of the level-wise
+    path, byte for byte."""
+    solutions = []
+    solve = patch.solve
+
+    def solve_and_keep(problem, schedule):
+        solutions.append(solve(problem, schedule))
+        return solutions[-1]
+
+    monkeypatch.setattr(patch, "solve", solve_and_keep)
+    derived = _outcomes(name, solutions)
+    _level_wise(monkeypatch)
+    assert _outcomes(name, solutions) == derived
+
+
+def _hand_built(plane, rows, alpha, depth):
+    """A PatchProblem on k[x, y, t] with charts x and y: M_1, M_2, M_0
+    have one generator each, with the relation texts of `rows`, and
+    are glued by the 1x1 matrices (alpha).  Built directly, so no pose
+    check runs; returns the problem and the arguments of pose_problem."""
+    B, mk, pd = plane
+    cfg = patch.make_config(B, pd, mk("x"), mk("y"), depth, declared_connected=True)
+    mods = [(1, [vec_of_polys([mk(r)]) for r in texts]) for texts in rows]
+    modules = {e: PresModule.make(B, *mod) for e, mod in zip((1, 2, 0), mods)}
+    a = (vec_of_polys([mk(alpha)]),)
+    matrix = [[mk(alpha)]]
+    return patch.PatchProblem(cfg, modules, a, a), (cfg, *mods, matrix, matrix)
+
+
+def _pose_and_solve(args):
+    """The PatchError of pose_problem, or the pose records and the
+    solver's status, sections and records."""
+    try:
+        prob = patch.pose_problem(*args)
+    except patch.PatchError as exc:
+        return str(exc), exc.witness
+    sol = patch.solve(prob, [0, 1, 2])
+    return prob.records, sol.status, sol.section_texts(), sol.records
+
+
+def _level_bases(satrel, zero_pairs, kernel_basis):
+    return [([satrel(e, i).gens for e in (1, 2, 0)], zero_pairs(i).gens,
+             [kernel_basis(i, D).gens for D in (0, 1, 2)])
+            for i in range(1, 5)]
+
+
+def _computed_bases(prob):
+    """The level bases of a problem with one generator per module,
+    straight from the engine: each satrel a saturation over B_i, the
+    zero pairs their span side by side, each kernel a syzygy
+    projection onto satrel(0, i)."""
+
+    def satrel(e, i):
+        return saturate(prob.modules[e].over(prob.ring_at(i)).rel, prob.charts[e])[0]
+
+    def zero_pairs(i):
+        rows = list(satrel(1, i).gens)
+        rows += [patch._join_pair((), g, 1) for g in satrel(2, i).gens]
+        return submodule(rows, prob.base.context, 2, ring_rels=prob.ring_at(i).rels_vecs)
+
+    return _level_bases(satrel, zero_pairs,
+                        lambda i, D: syzygy_project(prob.phi_rows(D), satrel(0, i)))
+
+
+# Each case makes one check of the certificate fail: M_1, M_2, M_0 are
+# presented by `rows`, glued by alpha, at `depth`.  claims(problem, mk)
+# lists (answer, claim...) entries, the answer each claim must give; the
+# bases at levels 1..4 must be those the engine computes level by
+# level, and the pose and solve outcome the level-wise path's.
+FAILING_CHECKS = {
+    # t kills x*y - t on B/(t*x*y - t^2): t is a zero divisor on F/S,
+    # and level 2's saturation at x holds t*y, outside S + t^2F
+    "t-zero-divisor": ((["t*x*y - t^2"],) * 3, "1", 4, lambda prob, mk: [
+        (False, "t-regular", prob.satrel(1, None)), (False, "satrel", 1)]),
+    # B/(x*y - t) mod t is k[x, y]/(x*y): the chart x is a zero divisor
+    # on F/(S + tF), and level i's saturation at x holds y^i
+    "chart-zero-divisor": ((["x*y - t"],) * 3, "1", 4, lambda prob, mk: [
+        (False, "satrel", 1)]),
+    # B/(y^2 - t) mod t is k[x, y]/(y^2): the chart x stays regular but
+    # the pool element y (the other chart) is a zero divisor
+    "pool-zero-divisor": ((["y^2 - t"],) * 3, "1", 4, lambda prob, mk: [
+        (True, "satrel", 1), (False, "torsion", prob.satrel(1, None), mk("y"))]),
+    # alpha = t: the image of every phi_D lies in tF_0, so t is a zero
+    # divisor on the cokernel F_0/(S_0 + im phi_D) and level i's kernel
+    # is larger than K_D + t^iP
+    "kernel-cokernel": (([],) * 3, "t", 4, lambda prob, mk: [
+        (False, "kernel", prob.phi_rows(D)) for D in (0, 1, 2)]),
+    # M_0 = B/(t^2, y*t) under free M_1, M_2: the sections (0, t) and
+    # (1, 1) leave P/(sections) = B/(t), on which t is zero, and the
+    # solver's level-injectivity FAILs at level 1
+    "sections-cokernel": (([], [], ["t^2", "y*t"]), "1", 1, lambda prob, mk: [
+        (True, "pairs"), (False, "satrel", 0),
+        (False, "pair-kernel", tuple(patch.solve(prob, [0, 1, 2]).sections))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILING_CHECKS))
+def test_fallback_when_a_check_fails(case, plane, monkeypatch):
+    rows, alpha, depth, claims = FAILING_CHECKS[case]
+    prob, args = _hand_built(plane, rows, alpha, depth)
+    for answer, *claim in claims(prob, plane[1]):
+        assert prob.certificate.derivable(*claim) is answer, claim
+    assert _level_bases(prob.satrel, prob.zero_pairs, prob.kernel_basis) == _computed_bases(prob)
+    derived = _pose_and_solve(args)
+    _level_wise(monkeypatch)
+    assert _pose_and_solve(args) == derived
+
+
+# -- count gates: the derived levels cost no per-level Groebner work -----
+
+
+def _count_calls(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def _solve_counts(capsys, calls, name, depths):
+    counts = []
+    for depth in depths:
+        calls.clear()
+        assert main(["solve", name, "--depth", str(depth)]) == 0
+        capsys.readouterr()
+        counts.append(len(calls))
+    return counts
+
+
+def test_colons_do_not_grow_with_depth(monkeypatch, capsys):
+    # every colon is a check over B; with every level computed this
+    # solve makes 131 colons at depth 12 and 43 at depth 4
+    calls = []
+    for owner in (engine, patch):
+        _count_calls(monkeypatch, owner, "module_quotient", calls)
+    at4, at12 = _solve_counts(capsys, calls, "a2-ideal-xy", (4, 12))
+    assert 0 < at4 == at12
+
+
+def test_groebner_runs_per_level_are_bounded(monkeypatch, capsys):
+    # bound: 7 runs per added level, for the truncations' extensions and
+    # the solution tower's levels; with every level computed this solve
+    # makes 21 per level, derived it makes 1
+    calls = []
+    _count_calls(monkeypatch, engine, "_buchberger", calls)
+    at4, at12 = _solve_counts(capsys, calls, "a2-ideal-xy", (4, 12))
+    assert at12 - at4 <= 56
+
+
+@pytest.mark.parametrize("name", PROBLEM_INSTANCES)
+def test_no_kernel_is_computed_at_a_level(name, monkeypatch, capsys):
+    calls = []
+    _count_calls(monkeypatch, patch.PatchProblem, "kernel_basis", calls)
+    _solve_counts(capsys, calls, name, (12,))
+    assert calls and all(level is None for _, level, _ in calls)
